@@ -65,7 +65,9 @@ module Sds_unopt : S with type endpoint = Socksdirect.Libsd.thread = struct
   let name = "SD (unopt)"
 
   let make_endpoint host ~core =
-    let config = { Socksdirect.Libsd.default_config with batching = false; zerocopy = false } in
+    let config =
+      { Socksdirect.Libsd.batching = false; copy_policy = Socksdirect.Copy_policy.Always_copy }
+    in
     let ctx = Socksdirect.Libsd.init ~config host in
     Socksdirect.Libsd.create_thread ctx ~core ()
 end

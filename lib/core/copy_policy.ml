@@ -84,13 +84,17 @@ let adapt t =
   let cut = t.threshold / 2 in
   let total = ref 0 in
   let large = ref 0 in
-  for b = 0 to buckets - 1 do
+  (* [observe] fills buckets 1 and up: bucket b holds sizes in
+     [2^(b-1), 2^b).  Estimate each by its lower edge, exact for
+     power-of-two sizes, so a 4 KiB stream does not count as reaching an
+     8 KiB cut and pull the threshold below the copy/remap crossover. *)
+  for b = 1 to buckets - 1 do
     let n = t.recent.(b) in
     if n > 0 then begin
-      (* bucket b holds sizes in [2^(b-1), 2^b); approximate by 2^b bytes *)
-      let bytes = n * (1 lsl b) in
+      let size = 1 lsl (b - 1) in
+      let bytes = n * size in
       total := !total + bytes;
-      if 1 lsl b >= cut then large := !large + bytes
+      if size >= cut then large := !large + bytes
     end
   done;
   let old_t = t.threshold in
@@ -111,8 +115,8 @@ let observe t len =
   t.observed <- t.observed + 1;
   if t.observed >= adapt_period then adapt t
 
-(* Decide copy (false) vs remap (true) for a [len]-byte send on a socket
-   whose channel uses [pool]. *)
+(* Decide copy (false) vs remap (true) for a [len]-byte send whose process
+   stages descriptors into [pool] ([None] until its first descriptor send). *)
 let decide t ~pool ~len =
   let remap =
     match t.mode with

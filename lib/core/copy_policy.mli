@@ -31,5 +31,7 @@ val high_water : float
 
 val decide : t -> pool:Sds_vm.Pagepool.t option -> len:int -> bool
 (** [true] = remap (zero-copy descriptor handoff), [false] = inline copy.
+    [pool] is the pool the sender stages into, read for pressure; [None]
+    when it does not exist yet.
     Records the decision in the [pool.remaps]/[pool.copies] counters and
     the [pool.remap_bytes] histogram. *)

@@ -1,10 +1,10 @@
 (* libsd: the user-space socket library (§3, §4).
 
    One [process_ctx] per simulated process, holding the FD remapping table
-   (user-space sockets vs kernel FDs), the page pool for zero copy, and the
-   SHM control queue to the local monitor.  One [thread] per simulated
-   application thread, pinned to a core; threads share sockets through the
-   token mechanism.
+   (user-space sockets vs kernel FDs), the page pool its zero-copy sends
+   stage into, and the SHM control queue to the local monitor.  One
+   [thread] per simulated application thread, pinned to a core; threads
+   share sockets through the token mechanism.
 
    The API mirrors POSIX sockets: socket / bind / listen / accept / connect
    / send / recv / shutdown / close / epoll, plus fork and exec. *)
@@ -42,17 +42,19 @@ exception Bad_fd of int
 
 type config = {
   batching : bool;  (** adaptive RDMA batching (§4.2); off in "SD (unopt)" *)
-  zerocopy : bool;  (** page-remap path for >= 16 KiB (§4.3) *)
   copy_policy : Copy_policy.mode;
-      (** Libra-style selective copying on the intra-host descriptor path
-          (§4.6); forced to [Always_copy] when [zerocopy] is off *)
-  yield_rounds : int;  (** empty polls before switching to interrupt mode *)
-  ring_size : int;
+      (** Libra-style selective copying onto the descriptor path (§4.3,
+          §4.6); [Always_copy] in "SD (unopt)" *)
 }
 
-let default_config =
-  { batching = true; zerocopy = true; copy_policy = Copy_policy.Adaptive;
-    yield_rounds = 256; ring_size = 64 * 1024 }
+let default_config = { batching = true; copy_policy = Copy_policy.Adaptive }
+
+(* Empty polls before a receiver switches to interrupt mode (§4.4). *)
+let yield_rounds = 256
+
+(* Per-direction ring bytes of a socket channel: the size [Shm_chan]
+   creates rings with, reported as the socket buffer size. *)
+let ring_size = 64 * 1024
 
 type entry =
   | U of Sock.t  (** user-space socket *)
@@ -74,7 +76,10 @@ type process_ctx = {
   mutable monitor : Monitor.t;
   config : config;
   mutable fds : entry Fd_table.t;
-  space : Sds_vm.Space.t;
+  mutable pool : (Sds_vm.Pagepool.t * Sds_vm.Pagepool.handle) option;
+      (** the pool descriptor sends stage into, with this process's
+          allocation handle; created on the first descriptor send, so it
+          lives and dies with the process *)
   mutable threads : int;  (** live thread count *)
   mutable listener_regs : (int * int) list;  (** (port, lt_uid) pairs registered *)
   (* The per-process epoll thread (§4.4 challenge 1): one fiber owns a
@@ -113,13 +118,12 @@ let init ?(config = default_config) host =
       monitor;
       config;
       fds = Fd_table.create ();
-      space = Sds_vm.Space.create ~pid:!uid_counter ~pool_capacity:4096;
+      pool = None;
       threads = 0;
       listener_regs = [];
       epoll_thread = None;
     }
   in
-  Zerocopy.register_pool ~uid:ctx.uid (Sds_vm.Space.pool ctx.space);
   Log.info (fun m -> m "libsd loaded into process %d on host %d" ctx.uid (Host.id host));
   ctx
 
@@ -150,17 +154,13 @@ let sock_exn th fd =
   | U s -> s
   | K _ | Ep _ -> invalid_arg "libsd: not a user-space socket"
 
-(* The per-socket selective-copy mode a new socket starts with. *)
-let effective_copy_mode ctx =
-  if ctx.config.zerocopy then ctx.config.copy_policy else Copy_policy.Always_copy
-
 (* ---- socket / bind / listen ---- *)
 
 (* socket(): pure user-space — no kernel FD, no inode (§4.5.1). *)
 let socket th =
   Proc.sleep_ns th.ctx.cost.Cost.c_shim;
   Obs.Metrics.incr m_sockets;
-  Fd_table.alloc th.ctx.fds (U (Sock.create th.ctx.host ~cost:th.ctx.cost ~tid:th.tid ~copy_mode:(effective_copy_mode th.ctx) ()))
+  Fd_table.alloc th.ctx.fds (U (Sock.create th.ctx.host ~cost:th.ctx.cost ~tid:th.tid ~copy_mode:th.ctx.config.copy_policy ()))
 
 let bind th fd ~port =
   let s = sock_exn th fd in
@@ -301,7 +301,7 @@ and next_msg_inner th (s : Sock.t) =
        [yield_rounds] empty polls, as the paper's cost model fixes it. *)
     let pol =
       Sds_notify.Policy.create ~adaptive:false ~backoff_rounds:0
-        ~budget:th.ctx.config.yield_rounds ()
+        ~budget:yield_rounds ()
     in
     Sds_notify.Policy.begin_wait pol;
     let rec poll_phase () =
@@ -437,7 +437,7 @@ let connect th fd ~dst ~port =
 
 (* Build the server-side socket from a dispatched SYN entry. *)
 let accept_entry th (entry : Monitor.syn_entry) ~port =
-  let s = Sock.create th.ctx.host ~cost:th.ctx.cost ~tid:th.tid ~copy_mode:(effective_copy_mode th.ctx) () in
+  let s = Sock.create th.ctx.host ~cost:th.ctx.cost ~tid:th.tid ~copy_mode:th.ctx.config.copy_policy () in
   s.Sock.tx <- Some entry.Monitor.s_tx;
   s.Sock.rx <- Some entry.Monitor.s_rx;
   s.Sock.local_port <- port;
@@ -504,14 +504,26 @@ let send_chunks th s buf ~off ~len =
     send_msgs th s (chunks off len)
   end
 
-(* The §4.6 descriptor path: stage the payload into freshly allocated
-   shared-pool pages and send {page, off, len} descriptor records — an
-   ownership handoff; no payload byte crosses the ring.  Returns [false]
-   (having released any pages it took) when the pool is exhausted, in
-   which case the caller falls back to the inline-copy path. *)
-let send_pool th s pool buf ~off ~len =
+(* This process's staging pool and allocation handle, created on first
+   use. *)
+let pool_handle ctx =
+  match ctx.pool with
+  | Some ph -> ph
+  | None ->
+    let pool = Sds_vm.Pagepool.create () in
+    let ph = (pool, Sds_vm.Pagepool.handle pool) in
+    ctx.pool <- Some ph;
+    ph
+
+(* The zero-copy path (§4.3, §4.6), the same over SHM and RDMA: stage the
+   payload into freshly allocated pages of the sending process's pool and
+   send {page, off, len} descriptor records — an ownership handoff; no
+   payload byte crosses the ring.  Returns [false] (having released any
+   pages it took) when the pool is exhausted, in which case the caller
+   falls back to the inline-copy path. *)
+let send_pool th s buf ~off ~len =
   let module Pp = Sds_vm.Pagepool in
-  let h = Pp.domain_handle pool in
+  let pool, h = pool_handle th.ctx in
   let npages = (len + Pp.page_size - 1) / Pp.page_size in
   let pages = Array.make npages 0 in
   let got = ref 0 in
@@ -541,8 +553,8 @@ let send_pool th s pool buf ~off ~len =
         ~len:chunk;
       entries.(i) <- Sds_ring.Spsc_ring.desc_entry ~page:pages.(i) ~off:0 ~len:chunk
     done;
-    (* Sim cost: one driver call plus per-page grant bookkeeping, instead
-       of the memcpy (same shape as the RDMA-flavour [Zerocopy.send_pages]). *)
+    (* Sim cost: one driver call to pin and export the pages plus per-page
+       grant bookkeeping, instead of the memcpy. *)
     Proc.sleep_ns (Cost.syscall th.ctx.cost + (npages * 20));
     (* Split into bounded descriptor records and hand off. *)
     let rec records i =
@@ -560,16 +572,6 @@ let send_pool th s pool buf ~off ~len =
     true
   end
 
-(* The shared pool of this socket's tx channel, when the §4.6 descriptor
-   path applies (intra-host SHM channel backed by a pool). *)
-let tx_pool (s : Sock.t) =
-  match s.Sock.tx with
-  | Some (Sock.Tx_chan tx) -> (
-    match Shm_chan.via tx.Sock.chan with
-    | Shm_chan.Shm -> Shm_chan.pool tx.Sock.chan
-    | Shm_chan.Rdma _ -> None)
-  | Some (Sock.Tx_kernel _) | None -> None
-
 let send th fd buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "libsd.send";
   match lookup th fd with
@@ -585,31 +587,18 @@ let send th fd buf ~off ~len =
     Obs.Metrics.add m_send_bytes len;
     Obs.Metrics.observe h_send_size len;
     Token.with_held s.Sock.send_token ~tid:th.tid (fun () ->
-        let kernel_tx = match s.Sock.tx with Some (Sock.Tx_kernel _) -> true | _ -> false in
         let zc_sent =
-          if kernel_tx || len = 0 then false
-          else
-            match tx_pool s with
-            | Some pool ->
-              (* Intra-host: Libra-style per-socket selective copying over
-                 the real shared pool. *)
-              Copy_policy.decide s.Sock.policy ~pool:(Some pool) ~len
-              && (send_pool th s pool buf ~off ~len
-                 ||
-                 ((* Pool exhausted: Libra fallback to the copy path. *)
-                  Obs.Metrics.incr m_pool_fallbacks;
-                  Obs.Trace.emit Obs.Trace.Fallback;
-                  false))
-            | None ->
-              (* Inter-host: the §4.3 RDMA page-remap protocol. *)
-              if th.ctx.config.zerocopy && len >= Zerocopy.threshold then begin
-                let msg =
-                  Zerocopy.send_pages ~cost:th.ctx.cost ~space:th.ctx.space ~src:buf ~off ~len
-                in
-                send_msg th s msg;
-                true
-              end
-              else false
+          match s.Sock.tx with
+          | Some (Sock.Tx_chan _) when len > 0 ->
+            (* Libra-style per-socket selective copying, SHM and RDMA alike. *)
+            Copy_policy.decide s.Sock.policy ~pool:(Option.map fst th.ctx.pool) ~len
+            && (send_pool th s buf ~off ~len
+               ||
+               ((* Pool exhausted: Libra fallback to the copy path. *)
+                Obs.Metrics.incr m_pool_fallbacks;
+                Obs.Trace.emit Obs.Trace.Fallback;
+                false))
+          | Some (Sock.Tx_chan _ | Sock.Tx_kernel _) | None -> false
         in
         if zc_sent then begin
           s.Sock.zerocopy_sends <- s.Sock.zerocopy_sends + 1;
@@ -620,27 +609,19 @@ let send th fd buf ~off ~len =
     len
 
 (* Copy message payload into the app buffer; stores any remainder for the
-   next recv (stream semantics). *)
+   next recv (stream semantics).  Pool pages go back to the sender's pool
+   through its shared free stack: the receiver has no handle there. *)
 let consume_payload th (s : Sock.t) msg ~dst ~off ~len =
   match msg.Msg.payload with
-  | Msg.Pages (pages, plen) when len >= plen ->
-    (* Whole zero-copy message fits: remap instead of copying. *)
-    s.Sock.zerocopy_recvs <- s.Sock.zerocopy_recvs + 1;
-    Obs.Metrics.incr m_zerocopy_recvs;
-    Obs.Trace.emit_n Obs.Trace.Zerocopy_remap plen;
-    Zerocopy.recv_pages ~cost:th.ctx.cost ~space:th.ctx.space ~engine:th.ctx.engine pages ~len:plen
-      ~dst ~dst_off:off;
-    plen
   | Msg.Pool { pool; entries; len = plen } when len >= plen ->
-    (* Whole descriptor message fits: the ownership handoff is the §4.6
-       remap — charge remap cost, land the payload, drop our reference. *)
+    (* Whole descriptor message fits: the ownership handoff is the remap —
+       charge remap cost, land the payload, drop our reference. *)
     let module Pp = Sds_vm.Pagepool in
     let module R = Sds_ring.Spsc_ring in
     s.Sock.zerocopy_recvs <- s.Sock.zerocopy_recvs + 1;
     Obs.Metrics.incr m_zerocopy_recvs;
     Obs.Trace.emit_n Obs.Trace.Zerocopy_remap plen;
     Proc.sleep_ns (Cost.remap_cost th.ctx.cost plen);
-    let h = Pp.domain_handle pool in
     let pos = ref off in
     Array.iter
       (fun e ->
@@ -648,7 +629,7 @@ let consume_payload th (s : Sock.t) msg ~dst ~off ~len =
         Pp.blit_to_bytes pool ~page:(R.desc_page e) ~off:(R.desc_off e) ~dst ~dst_off:!pos
           ~len:elen;
         pos := !pos + elen;
-        Pp.release h (R.desc_page e))
+        Pp.release_global pool (R.desc_page e))
       entries;
     plen
   | _ ->
@@ -657,16 +638,13 @@ let consume_payload th (s : Sock.t) msg ~dst ~off ~len =
     let take = min len plen in
     Bytes.blit b 0 dst off take;
     (match msg.Msg.payload with
-    | Msg.Pages _ ->
-      (* Partial read of a zero-copy message degrades to a copy. *)
-      Proc.sleep_ns (Cost.copy_cost th.ctx.cost take)
     | Msg.Pool { pool; entries; _ } ->
       (* Partial read degrades to a copy ([to_bytes] above materialised the
          payload); the pages are done travelling — release our reference. *)
       Proc.sleep_ns (Cost.copy_cost th.ctx.cost take);
-      let module Pp = Sds_vm.Pagepool in
-      let h = Pp.domain_handle pool in
-      Array.iter (fun e -> Pp.release h (Sds_ring.Spsc_ring.desc_page e)) entries
+      Array.iter
+        (fun e -> Sds_vm.Pagepool.release_global pool (Sds_ring.Spsc_ring.desc_page e))
+        entries
     | Msg.Inline _ -> ());
     if take < plen then s.Sock.partial <- Some (b, take);
     take
@@ -679,7 +657,7 @@ let consume_payload th (s : Sock.t) msg ~dst ~off ~len =
 let consume th (s : Sock.t) msg ~dst ~off ~len =
   let remapped =
     match msg.Msg.payload with
-    | Msg.Pages (_, plen) | Msg.Pool { len = plen; _ } -> len >= plen
+    | Msg.Pool { len = plen; _ } -> len >= plen
     | Msg.Inline _ -> false
   in
   let n = consume_payload th s msg ~dst ~off ~len in
@@ -810,13 +788,12 @@ let fork th =
       (* The FD remapping table is heap memory: copy-on-write across fork.
          Socket metadata and buffers live in SHM: shared. *)
       fds = Fd_table.copy ctx.fds;
-      space = Sds_vm.Space.create ~pid:!uid_counter ~pool_capacity:4096;
+      pool = None;
       threads = 0;
       listener_regs = ctx.listener_regs;
       epoll_thread = None;
     }
   in
-  Zerocopy.register_pool ~uid:child.uid (Sds_vm.Space.pool child.space);
   (* Shared sockets gain a reference; the parent keeps the tokens, and RDMA
      resources must be re-initialized on first use by the child. *)
   Fd_table.iter child.fds (fun _ e ->
@@ -980,7 +957,7 @@ let epoll_wait th epfd ?timeout_ns () =
      epoll waitqueue (the sim-side analogue of [Waiter.wait_any]). *)
   let pol =
     Sds_notify.Policy.create ~adaptive:false ~backoff_rounds:0
-      ~budget:th.ctx.config.yield_rounds ()
+      ~budget:yield_rounds ()
   in
   Sds_notify.Policy.begin_wait pol;
   let rec loop () =
@@ -1103,7 +1080,7 @@ let migrate ctx ~to_host =
 
 (* ---- accessors used by tools, tests and the epoll thread ---- *)
 
-let space_of ctx = ctx.space
+let pool_of ctx = fst (pool_handle ctx)
 let kernel_process ctx = ctx.kproc
 let monitor_of th = th.ctx.monitor
 let thread_kernel_process th = th.ctx.kproc
@@ -1193,8 +1170,7 @@ let simulate_crash ctx =
           Waitq.broadcast peer.Sock.rx_wq;
           List.iter (fun f -> f ()) peer.Sock.deliver_hooks
         | None -> ())
-      | K _ | Ep _ -> ());
-  Zerocopy.unregister_pool ~uid:ctx.uid
+      | K _ | Ep _ -> ())
 
 (* The hard flavour (§4.3): no drain, no graceful EOF.  Peers observe a
    reset — blocked receivers wake with [Connection_reset], senders get
@@ -1210,5 +1186,4 @@ let simulate_abort ctx =
         | Some peer -> Sock.mark_reset peer
         | None -> ())
       | K _ | Ep _ -> ());
-  Monitor.request ctx.monitor (Monitor.Died { d_pid = ctx.uid });
-  Zerocopy.unregister_pool ~uid:ctx.uid
+  Monitor.request ctx.monitor (Monitor.Died { d_pid = ctx.uid })

@@ -26,15 +26,15 @@ exception Would_block
 
 type config = {
   batching : bool;  (** adaptive RDMA batching (§4.2); off in "SD (unopt)" *)
-  zerocopy : bool;  (** page-remap path for >= 16 KiB (§4.3) *)
   copy_policy : Copy_policy.mode;
-      (** §4.6 + Libra selective copying for the intra-host shared-pool
-          path; forced to [Always_copy] when [zerocopy] is off *)
-  yield_rounds : int;  (** empty polls before switching to interrupt mode *)
-  ring_size : int;
+      (** §4.6 + Libra selective copying onto the descriptor path, over SHM
+          and RDMA alike; [Always_copy] in "SD (unopt)" *)
 }
 
 val default_config : config
+
+val ring_size : int
+(** Per-direction ring bytes of a socket channel (64 KiB). *)
 
 type epoll
 
@@ -51,8 +51,8 @@ type thread
 (* ---- process / thread lifecycle ---- *)
 
 val init : ?config:config -> Host.t -> process_ctx
-(** Load libsd into a fresh process on [Host.t]: registers with the local
-    monitor and the zero-copy page-pool registry. *)
+(** Load libsd into a fresh process on [Host.t], attached to the local
+    monitor. *)
 
 val create_thread : process_ctx -> ?core:int -> unit -> thread
 val destroy_thread : thread -> unit
@@ -128,7 +128,11 @@ val sock_stats : thread -> int -> int * int * int * int * int
 (** [(bytes_sent, bytes_received, zerocopy_sends, zerocopy_recvs,
     token_takeovers)]. *)
 
-val space_of : process_ctx -> Sds_vm.Space.t
+val pool_of : process_ctx -> Sds_vm.Pagepool.t
+(** The pool this process's descriptor sends stage into, created on first
+    use (normally the first descriptor send).  Receivers release the pages
+    back into it; it is dropped with the process. *)
+
 val kernel_process : process_ctx -> Kernel.process
 val monitor_of : thread -> Monitor.t
 val thread_kernel_process : thread -> Kernel.process

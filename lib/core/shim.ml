@@ -83,7 +83,7 @@ let getsockopt th fd opt =
   | Libsd.U s, (SO_SNDBUF | SO_RCVBUF) -> (
     match s.Sock.requested_bufsize with
     | Some v -> v
-    | None -> Libsd.default_config.Libsd.ring_size)
+    | None -> Libsd.ring_size)
   | Libsd.U _, (SO_REUSEADDR | SO_KEEPALIVE) -> 1
   | Libsd.U _, TCP_NODELAY -> 1
   | Libsd.U s, SO_ERROR -> if s.Sock.state = Sock.Shut then 104 (* ECONNRESET *) else 0

@@ -23,7 +23,7 @@ let table1_rows =
     ("per packet", "I/O multiplexing", "RDMA / SHM queues (nic.ml)");
     ("per packet", "Interrupt handling", "event notification (libsd.ml §4.4)");
     ("per packet", "Process wakeup", "event notification (libsd.ml §4.4)");
-    ("per byte", "Payload copy", "page remapping (zerocopy.ml)");
+    ("per byte", "Payload copy", "page-descriptor handoff (libsd.ml, pagepool.ml)");
     ("per conn", "Kernel FD allocation", "FD remapping table (fd_table.ml)");
     ("per conn", "Locks in TCB management", "distributed to libsd (libsd.ml)");
     ("per conn", "New connection dispatch", "monitor daemon (monitor.ml)");

@@ -8,7 +8,7 @@
    cross-domain waiter ([Waiter]) run the *same* state machine:
 
    - the simulator drives it with [adaptive:false] and a fixed budget equal
-     to its [yield_rounds] config, reproducing the paper's fixed polling
+     to its [yield_rounds] constant, reproducing the paper's fixed polling
      budget exactly (and keeping sim results bit-identical);
    - the real waiter drives it adaptively: a successful spin doubles the
      budget (spinning is paying off — keep doing it), a park halves it

@@ -1,14 +1,13 @@
 (* Messages as carried by simulated transports.
 
    The payload is either inline bytes (small messages, copied through the
-   ring) or an array of zero-copy pages whose addresses ride the ring while
-   the data stays in place (§4.3). *)
+   ring) or page-pool descriptors that ride the ring while the data stays in
+   the pool (§4.3, §4.6). *)
 
 type payload =
   | Inline of Bytes.t
-  | Pages of Sds_vm.Page.t array * int  (** pages, payload length *)
   | Pool of { pool : Sds_vm.Pagepool.t; entries : int array; len : int }
-      (** real shared-pool pages: ring-packed descriptors (§4.6) *)
+      (** pages of the sending process's pool: ring-packed descriptors (§4.6) *)
 
 type kind =
   | Data
@@ -53,34 +52,20 @@ let control tag = make ~kind:(Control tag) (Inline Bytes.empty)
 let payload_len t =
   match t.payload with
   | Inline b -> Bytes.length b
-  | Pages (_, len) -> len
   | Pool { len; _ } -> len
 
 (* Bytes this message occupies in a ring: inline payload travels in-band,
-   page payloads contribute only their 8-byte page addresses / descriptors. *)
+   pool payloads contribute only their 8-byte descriptors. *)
 let ring_len t =
   match t.payload with
   | Inline b -> Bytes.length b
-  | Pages (pages, _) -> 8 * Array.length pages
   | Pool { entries; _ } -> 8 * Array.length entries
 
 let to_bytes t =
   match t.payload with
   | Inline b -> b
-  | Pages (pages, len) ->
-    let b = Bytes.create len in
-    let remaining = ref len in
-    Array.iteri
-      (fun i p ->
-        if !remaining > 0 then begin
-          let chunk = min Sds_vm.Page.size !remaining in
-          Sds_vm.Page.read p ~off:0 ~dst:b ~dst_off:(i * Sds_vm.Page.size) ~len:chunk;
-          remaining := !remaining - chunk
-        end)
-      pages;
-    b
   | Pool { pool; entries; len } ->
-    (* Copy-out of the shared pool (the receiver's partial-read fallback);
+    (* Copy-out of the sender's pool (the receiver's partial-read fallback);
        does not release the pages — the owner does that explicitly. *)
     let b = Bytes.create len in
     let dst_off = ref 0 in

@@ -1,14 +1,13 @@
 (** Messages as carried by the simulated transports.
 
-    A payload is either inline bytes (copied through the ring) or an array
-    of zero-copy pages whose addresses ride the ring while the data stays in
-    place (§4.3). *)
+    A payload is either inline bytes (copied through the ring) or page-pool
+    descriptors that ride the ring while the data stays in the pool (§4.3,
+    §4.6). *)
 
 type payload =
   | Inline of Bytes.t
-  | Pages of Sds_vm.Page.t array * int  (** pages, payload length *)
   | Pool of { pool : Sds_vm.Pagepool.t; entries : int array; len : int }
-      (** real shared-pool pages: ring-packed descriptors
+      (** pages of the sending process's pool: ring-packed descriptors
           ({!Sds_ring.Spsc_ring.desc_entry}) whose references travel with
           the message (§4.6 ownership handoff) *)
 
@@ -37,8 +36,8 @@ val payload_len : t -> int
 (** Application bytes carried. *)
 
 val ring_len : t -> int
-(** Bytes occupied in a ring: inline payload travels in-band, page payloads
-    contribute only their 8-byte page addresses. *)
+(** Bytes occupied in a ring: inline payload travels in-band, pool payloads
+    contribute only their 8-byte descriptors. *)
 
 val to_bytes : t -> Bytes.t
-(** Materialize the payload (gathers pages for zero-copy messages). *)
+(** Materialize the payload (gathers the pages of a pool payload). *)

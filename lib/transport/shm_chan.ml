@@ -12,8 +12,8 @@
      under loss and retransmission), exactly the "completion after data"
      guarantee §4.2 relies on.
 
-   Inline payloads move through the ring for real; zero-copy messages put
-   only their page addresses in-band.  Flow control is the ring's credit
+   Inline payloads move through the ring for real; pool messages put only
+   their page descriptors in-band.  Flow control is the ring's credit
    scheme: the sender spends ring credits per enqueue, and the receiver's
    batched half-ring credit return travels back over the same transport
    (one cache migration, or one RDMA write).
@@ -49,9 +49,6 @@ type t = {
   cost : Cost.t;
   via : via;
   ring : Sds_ring.Spsc_ring.t;
-  pool : Sds_vm.Pagepool.t option;
-      (** shared page pool both endpoints address; [None] disables the
-          descriptor (zero-copy) path on this channel *)
   mutable desc_scratch : int array;  (** reused descriptor dequeue target *)
   descs : Msg.t Queue.t;  (** messages visible to the receiver *)
   mutable visible : int;
@@ -69,14 +66,13 @@ type t = {
 
 let token_counter = ref 0
 
-let make engine ~cost ~via ~ring_size ~pool =
+let make engine ~cost ~via ~ring_size =
   incr token_counter;
   {
     engine;
     cost;
     via;
     ring = Sds_ring.Spsc_ring.create ~size:ring_size ();
-    pool;
     desc_scratch = Array.make 64 0;
     descs = Queue.create ();
     visible = 0;
@@ -105,26 +101,18 @@ let commit t msg =
   | Interrupt, Some hook -> hook t
   | (Polling | Interrupt), _ -> ()
 
-(* Intra-host channels share the process-wide page pool by default — that
-   is what makes the descriptor handoff a remap rather than a copy. *)
-let create engine ~cost ?(ring_size = 64 * 1024) ?pool () =
-  let pool =
-    match pool with Some _ -> pool | None -> Some (Sds_vm.Pagepool.shared ())
-  in
-  make engine ~cost ~via:Shm ~ring_size ~pool
+let create engine ~cost ?(ring_size = 64 * 1024) () = make engine ~cost ~via:Shm ~ring_size
 
 (* The inter-host flavour: enqueues are synchronized to the peer through
-   [qp]; this installs the QP's remote sink.  No shared pool — large
-   payloads use the RDMA zero-copy path ([Msg.Pages]). *)
+   [qp]; this installs the QP's remote sink. *)
 let create_rdma engine ~cost ~qp ?(ring_size = 64 * 1024) () =
-  let t = make engine ~cost ~via:(Rdma qp) ~ring_size ~pool:None in
+  let t = make engine ~cost ~via:(Rdma qp) ~ring_size in
   (* Writes fired on [qp] must commit into THIS channel at the remote end. *)
   Nic.on_commit qp (fun msg -> commit t msg);
   t
 
 let token t = t.token
 let via t = t.via
-let pool t = t.pool
 let rx_waitq t = t.rx_waitq
 let tx_waitq t = t.tx_waitq
 let set_mode t m = Sds_notify.Policy.set_mode t.rx_policy m
@@ -140,17 +128,10 @@ let pending t = t.visible
 
 type send_result = Sent | Full
 
-(* The bytes a message contributes in-band: the inline payload itself, or
-   the serialized obfuscated page addresses for zero-copy messages. *)
+(* The bytes a message contributes in-band: its inline payload. *)
 let ring_payload msg =
   match msg.Msg.payload with
   | Msg.Inline b -> b
-  | Msg.Pages (pages, _) ->
-    let b = Bytes.create (8 * Array.length pages) in
-    Array.iteri
-      (fun i p -> Bytes.set_int64_le b (i * 8) (Int64.of_int (Sds_vm.Page.obfuscated_address p)))
-      pages;
-    b
   | Msg.Pool _ ->
     (* Pool payloads never serialize: they enqueue as descriptor records. *)
     assert false
@@ -168,7 +149,7 @@ let after_enqueue t msg =
   let copy =
     match msg.Msg.payload with
     | Msg.Inline b -> Cost.copy_cost t.cost (Bytes.length b)
-    | Msg.Pages _ | Msg.Pool _ -> 0
+    | Msg.Pool _ -> 0
   in
   Proc.sleep_ns (t.cost.Cost.shm_msg_overhead + copy);
   match t.via with
@@ -195,17 +176,15 @@ let try_send t msg =
       after_enqueue t msg;
       Sent
     end
-  | Msg.Inline _ | Msg.Pages _ ->
-    let inline_len = Msg.ring_len msg in
-    let payload = ring_payload msg in
-    if not (Sds_ring.Spsc_ring.try_enqueue t.ring payload ~off:0 ~len:inline_len) then Full
+  | Msg.Inline b ->
+    if not (Sds_ring.Spsc_ring.try_enqueue t.ring b ~off:0 ~len:(Bytes.length b)) then Full
     else begin
       after_enqueue t msg;
       Sent
     end
 
 let is_pool_msg m =
-  match m.Msg.payload with Msg.Pool _ -> true | Msg.Inline _ | Msg.Pages _ -> false
+  match m.Msg.payload with Msg.Pool _ -> true | Msg.Inline _ -> false
 
 (* Vectored send: enqueues the longest prefix of [msgs] the ring credits
    accept through a single batched ring operation (one tail publication, one
@@ -281,7 +260,7 @@ let try_recv t =
     let copy =
       match msg.Msg.payload with
       | Msg.Inline b -> Cost.copy_cost t.cost (Bytes.length b)
-      | Msg.Pages _ | Msg.Pool _ -> 0
+      | Msg.Pool _ -> 0
     in
     Proc.sleep_ns (t.cost.Cost.shm_msg_overhead + copy);
     let credit = Sds_ring.Spsc_ring.take_credit_return t.ring in

@@ -16,10 +16,8 @@ type via =
 
 type t
 
-val create : Engine.t -> cost:Cost.t -> ?ring_size:int -> ?pool:Sds_vm.Pagepool.t -> unit -> t
-(** Intra-host flavour.  Unless [pool] is given, the channel uses the
-    process-wide {!Sds_vm.Pagepool.shared} pool for the §4.6 descriptor
-    (zero-copy) path. *)
+val create : Engine.t -> cost:Cost.t -> ?ring_size:int -> unit -> t
+(** Intra-host flavour. *)
 
 val create_rdma : Engine.t -> cost:Cost.t -> qp:Nic.qp -> ?ring_size:int -> unit -> t
 (** Inter-host flavour; installs [qp]'s remote sink to commit into this
@@ -29,10 +27,6 @@ val token : t -> int
 (** The secret marking the queue; non-holders cannot attach (§3). *)
 
 val via : t -> via
-
-val pool : t -> Sds_vm.Pagepool.t option
-(** The shared page pool backing this channel's descriptor path; [None] on
-    RDMA channels (those use the [Msg.Pages] remap protocol instead). *)
 
 val rx_waitq : t -> Waitq.t
 (** Signalled on every delivery. *)

@@ -422,10 +422,3 @@ let[@sds.hot] get_int_le t pos =
     v := (!v lsl 8) lor Char.code (Bigarray.Array1.unsafe_get t.data (pos + i))
   done;
   !v land max_int
-
-(* ---- shared default pool ---------------------------------------------- *)
-
-(* Process-wide pool used by [Shm_chan] unless a channel is given its own;
-   sized for the sim workloads (32 MiB). *)
-let shared_pool = lazy (create ())
-let shared () = Lazy.force shared_pool

@@ -28,10 +28,6 @@ val batch : int
 val create : ?pages:int -> unit -> t
 val pages : t -> int
 
-val shared : unit -> t
-(** Process-wide default pool (lazily created with [default_pages] pages);
-    used by [Shm_chan] unless a channel is given its own. *)
-
 (** {1 Per-domain allocation handles} *)
 
 type handle

@@ -6,7 +6,6 @@ module L = Socksdirect.Libsd
 module Sock = Socksdirect.Sock
 module Monitor = Socksdirect.Monitor
 module Token = Socksdirect.Token
-module Zerocopy = Socksdirect.Zerocopy
 open Helpers
 
 let recv_exact th fd n =
@@ -172,18 +171,19 @@ let zerocopy_roundtrip ~intra () =
   let _, _, s_sends, s_recvs, _ = !server_stats in
   Alcotest.(check bool) "server used zero copy" true (s_sends > 0 && s_recvs > 0)
 
-let test_zerocopy_page_return () =
-  (* After a zero-copy exchange drains, pages must flow back to the sender's
-     pool: the pool may not leak. *)
+let zerocopy_page_return ~intra () =
+  (* After a zero-copy exchange drains, every page must be back in the
+     sending process's pool: the pool may not leak. *)
   let w = make_world () in
   let h = add_host w in
+  let h2 = if intra then h else add_host w in
   let size = 64 * 1024 in
   let rounds = 50 in
-  let sender_pool_available = ref (-1) in
+  let sender_pool = ref None in
   let ready = ref false in
   ignore
     (spawn w "pr-server" (fun () ->
-         let ctx = L.init h in
+         let ctx = L.init h2 in
          let th = L.create_thread ctx ~core:1 () in
          let lfd = L.socket th in
          L.bind th lfd ~port:84;
@@ -198,17 +198,22 @@ let test_zerocopy_page_return () =
       let ctx = L.init h in
       let th = L.create_thread ctx ~core:0 () in
       let fd = L.socket th in
-      L.connect th fd ~dst:h ~port:84;
+      L.connect th fd ~dst:h2 ~port:84;
       let payload = Bytes.make size 'z' in
       for _ = 1 to rounds do
         send_all th fd payload
       done;
       Sds_sim.Proc.sleep_ns 5_000_000;
-      sender_pool_available := Sds_vm.Pool.available (Sds_vm.Space.pool (L.space_of ctx)));
-  (* 50 rounds x 16 pages from a 4096-page pool: without the return
-     protocol, 800 pages would be gone. *)
-  Alcotest.(check bool) "pages returned to sender pool" true
-    (!sender_pool_available > 4096 - 100)
+      let _, _, zc_sends, _, _ = L.sock_stats th fd in
+      Alcotest.(check int) "every send took the descriptor path" rounds zc_sends;
+      sender_pool := Some (L.pool_of ctx));
+  match !sender_pool with
+  | None -> Alcotest.fail "client never finished"
+  | Some pool ->
+    (* 50 rounds x 16 pages: without the release on receive, 800 pages
+       would be gone. *)
+    Alcotest.(check int) "every page back in the sender's pool"
+      (Sds_vm.Pagepool.pages pool) (Sds_vm.Pagepool.free_pages pool)
 
 (* ---- fork ---- *)
 
@@ -838,7 +843,7 @@ let suite =
     Alcotest.test_case "large message chunking" `Quick test_large_message_chunking;
     Alcotest.test_case "zero copy intra-host" `Quick (zerocopy_roundtrip ~intra:true);
     Alcotest.test_case "zero copy inter-host" `Quick (zerocopy_roundtrip ~intra:false);
-    Alcotest.test_case "zero copy returns pages" `Quick test_zerocopy_page_return;
+    Alcotest.test_case "zero copy returns pages" `Quick (zerocopy_page_return ~intra:true);
     Alcotest.test_case "fork: socket handoff to child" `Quick test_fork_socket_handoff;
     Alcotest.test_case "fork: FD table copy-on-write" `Quick test_fork_fd_table_cow;
     Alcotest.test_case "fork: inter-host QP re-init" `Quick test_fork_inter_host_reinit;
@@ -862,4 +867,6 @@ let suite =
     Alcotest.test_case "dup shares the connection" `Quick test_dup_shares_socket;
     Alcotest.test_case "poll and select" `Quick test_poll_and_select;
     Alcotest.test_case "crash gives peer EOF after drain" `Quick test_crash_gives_peer_eof;
+    Alcotest.test_case "zero copy returns pages over RDMA" `Quick
+      (zerocopy_page_return ~intra:false);
   ]

@@ -355,23 +355,27 @@ let test_fork_secret_rejects_impostor () =
       in
       Alcotest.(check bool) "impostor rejected" false paired)
 
-(* ---- §4.6 + Libra: selective copying over the real shared page pool ---- *)
+(* ---- §4.6 + Libra: selective copying over per-process page pools ---- *)
 
 module Obs = Sds_obs.Obs
 module Copy_policy = Socksdirect.Copy_policy
 
-(* Intra-host roundtrip of [size] bytes under [config]; returns the deltas
-   of (zerocopy sends, pool fallbacks) across the exchange. *)
-let pool_roundtrip ~config ~size () =
+(* Echo roundtrip of [size] bytes under [config], intra-host (SHM) or
+   inter-host (RDMA); [prepare] runs on each process right after init.
+   Returns the deltas of (zerocopy sends, pool fallbacks) across the
+   exchange. *)
+let pool_roundtrip ?(prepare = ignore) ~intra ~config ~size () =
   let w = make_world () in
   let h = add_host w in
+  let h2 = if intra then h else add_host w in
   let payload = Bytes.init size (fun i -> Char.chr ((i * 197) land 0xff)) in
   let ready = ref false in
   let zc0 = Obs.Metrics.counter_value "libsd.zerocopy_sends" in
   let fb0 = Obs.Metrics.counter_value "libsd.pool_fallbacks" in
   ignore
     (spawn w "pool-server" (fun () ->
-         let ctx = L.init ~config h in
+         let ctx = L.init ~config h2 in
+         prepare ctx;
          let th = L.create_thread ctx ~core:1 () in
          let lfd = L.socket th in
          L.bind th lfd ~port:131;
@@ -383,61 +387,63 @@ let pool_roundtrip ~config ~size () =
   run w (fun () ->
       wait_for ready;
       let ctx = L.init ~config h in
+      prepare ctx;
       let th = L.create_thread ctx ~core:0 () in
       let fd = L.socket th in
-      L.connect th fd ~dst:h ~port:131;
+      L.connect th fd ~dst:h2 ~port:131;
       send_all th fd payload;
       check_bytes "payload intact through the pool path" payload (recv_exact th fd size));
   ( Obs.Metrics.counter_value "libsd.zerocopy_sends" - zc0,
     Obs.Metrics.counter_value "libsd.pool_fallbacks" - fb0 )
 
-let test_copy_policy_never_copy () =
+let test_copy_policy_never_copy ~intra () =
   let config = { L.default_config with copy_policy = Copy_policy.Never_copy } in
-  let zc, _ = pool_roundtrip ~config ~size:(64 * 1024) () in
+  let zc, _ = pool_roundtrip ~intra ~config ~size:(64 * 1024) () in
   Alcotest.(check bool) "descriptor handoff used on both legs" true (zc >= 2)
 
-let test_copy_policy_always_copy () =
+let test_copy_policy_always_copy ~intra () =
   let config = { L.default_config with copy_policy = Copy_policy.Always_copy } in
-  let zc, _ = pool_roundtrip ~config ~size:(64 * 1024) () in
+  let zc, _ = pool_roundtrip ~intra ~config ~size:(64 * 1024) () in
   Alcotest.(check int) "no zero-copy sends under Always_copy" 0 zc
 
-let test_copy_policy_adaptive_large () =
+let test_copy_policy_adaptive_large ~intra () =
   (* 64 KiB is over every adaptive threshold bound: must go zero-copy. *)
   let config = { L.default_config with copy_policy = Copy_policy.Adaptive } in
-  let zc, _ = pool_roundtrip ~config ~size:(64 * 1024) () in
+  let zc, _ = pool_roundtrip ~intra ~config ~size:(64 * 1024) () in
   Alcotest.(check bool) "adaptive picks the descriptor path at 64 KiB" true (zc >= 2)
 
-let test_copy_policy_forced_off () =
-  (* zerocopy=false forces Always_copy whatever the knob says. *)
-  let config =
-    { L.default_config with zerocopy = false; copy_policy = Copy_policy.Never_copy }
-  in
-  let zc, _ = pool_roundtrip ~config ~size:(64 * 1024) () in
-  Alcotest.(check int) "zerocopy=false disables the pool path" 0 zc
+let test_copy_policy_4k_stays_copy () =
+  (* A 4 KiB stream sits below the 16 KiB crossover: the re-derivation must
+     see its byte volume at 4 KiB, not round it up toward the cut. *)
+  let p = Copy_policy.create ~mode:Copy_policy.Adaptive () in
+  for i = 1 to 512 do
+    if Copy_policy.decide p ~pool:None ~len:4096 then
+      Alcotest.failf "decision %d remapped a 4 KiB send" i
+  done;
+  Alcotest.(check int) "threshold stays at the base" Copy_policy.base_threshold
+    (Copy_policy.threshold p)
 
-let test_pool_exhaustion_falls_back_to_copy () =
-  (* Hoard every page of the process-wide pool: descriptor sends must fail
-     allocation, count a fallback, and deliver intact via the copy path. *)
+let test_pool_exhaustion_falls_back_to_copy ~intra () =
+  (* Hoard every page of each process's own pool: descriptor sends must
+     fail allocation, count a fallback, and deliver intact via the copy
+     path. *)
   let module Pp = Sds_vm.Pagepool in
-  let pool = Pp.shared () in
-  (* The sim runs every proc on this domain, so [domain_handle] is the very
-     handle libsd allocates from — draining it empties its private cache
-     too, not just the global stack. *)
-  let hoard_h = Pp.domain_handle pool in
-  let hoard = ref [] in
-  let rec drain () =
-    let p = Pp.alloc hoard_h in
-    if p <> Pp.no_page then begin
-      hoard := p :: !hoard;
-      drain ()
-    end
+  let hoards = ref [] in
+  let hoard ctx =
+    let pool = L.pool_of ctx in
+    let h = Pp.handle pool in
+    let rec drain acc =
+      let p = Pp.alloc h in
+      if p = Pp.no_page then acc else drain (p :: acc)
+    in
+    hoards := (h, drain []) :: !hoards
   in
-  drain ();
   Fun.protect
-    ~finally:(fun () -> List.iter (Pp.release hoard_h) !hoard)
+    ~finally:(fun () -> List.iter (fun (h, pages) -> List.iter (Pp.release h) pages) !hoards)
     (fun () ->
       let config = { L.default_config with copy_policy = Copy_policy.Never_copy } in
-      let zc, fb = pool_roundtrip ~config ~size:(64 * 1024) () in
+      let zc, fb = pool_roundtrip ~prepare:hoard ~intra ~config ~size:(64 * 1024) () in
+      Alcotest.(check int) "pools were hoarded" 2 (List.length !hoards);
       Alcotest.(check int) "no zero-copy send went through" 0 zc;
       Alcotest.(check bool) "fallbacks counted" true (fb >= 2))
 
@@ -469,10 +475,22 @@ let suite =
     Alcotest.test_case "fd namespace isolation" `Quick test_fd_namespace_isolation;
     Alcotest.test_case "fork secret rejects impostor" `Quick test_fork_secret_rejects_impostor;
     Alcotest.test_case "queue tokens distinct" `Quick test_queue_tokens_distinct;
-    Alcotest.test_case "copy policy: never-copy goes zero-copy" `Quick test_copy_policy_never_copy;
-    Alcotest.test_case "copy policy: always-copy stays inline" `Quick test_copy_policy_always_copy;
-    Alcotest.test_case "copy policy: adaptive remaps 64 KiB" `Quick test_copy_policy_adaptive_large;
-    Alcotest.test_case "copy policy: zerocopy=false forces copy" `Quick test_copy_policy_forced_off;
+    Alcotest.test_case "copy policy: never-copy goes zero-copy" `Quick
+      (test_copy_policy_never_copy ~intra:true);
+    Alcotest.test_case "copy policy: always-copy stays inline" `Quick
+      (test_copy_policy_always_copy ~intra:true);
+    Alcotest.test_case "copy policy: adaptive remaps 64 KiB" `Quick
+      (test_copy_policy_adaptive_large ~intra:true);
+    Alcotest.test_case "copy policy: 4 KiB stream stays on copy" `Quick
+      test_copy_policy_4k_stays_copy;
     Alcotest.test_case "pool exhaustion falls back to copy" `Quick
-      test_pool_exhaustion_falls_back_to_copy;
+      (test_pool_exhaustion_falls_back_to_copy ~intra:true);
+    Alcotest.test_case "rdma copy policy: never-copy goes zero-copy" `Quick
+      (test_copy_policy_never_copy ~intra:false);
+    Alcotest.test_case "rdma copy policy: always-copy stays inline" `Quick
+      (test_copy_policy_always_copy ~intra:false);
+    Alcotest.test_case "rdma copy policy: adaptive remaps 64 KiB" `Quick
+      (test_copy_policy_adaptive_large ~intra:false);
+    Alcotest.test_case "rdma pool exhaustion falls back to copy" `Quick
+      (test_pool_exhaustion_falls_back_to_copy ~intra:false);
   ]

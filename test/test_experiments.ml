@@ -81,6 +81,18 @@ let test_qp_cache_degradation () =
   let many = Sds_experiments.Qpscale.point ~qps:8192 in
   Alcotest.(check bool) "latency grows past the QP cache" true (many > few *. 1.2)
 
+let test_runs_independent () =
+  (* Each simulated world owns its processes' page pools, so a point must
+     not depend on what ran before it in the same OS process: not on
+     itself, and not on an inter-host 1 MiB point that leaves descriptors
+     in flight when its world is dropped. *)
+  let module F = Sds_experiments.Fig78 in
+  let point () = F.tput_point (module Sapi.Sds) ~intra:true ~size:32768 in
+  let first = point () in
+  Alcotest.(check (float 0.)) "second run equals the first" first (point ());
+  ignore (F.tput_point (module Sapi.Sds) ~intra:false ~size:1048576);
+  Alcotest.(check (float 0.)) "after an inter-host 1 MiB point" first (point ())
+
 let suite =
   [
     Alcotest.test_case "headline: 17-35x latency vs Linux" `Slow test_headline_latency;
@@ -91,4 +103,5 @@ let suite =
     Alcotest.test_case "zero-copy crossover at 16KiB+" `Slow test_zero_copy_crossover;
     Alcotest.test_case "adaptive batching gain" `Slow test_batching_gain;
     Alcotest.test_case "qp cache degradation" `Slow test_qp_cache_degradation;
+    Alcotest.test_case "runs do not affect each other" `Slow test_runs_independent;
   ]

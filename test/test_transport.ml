@@ -14,13 +14,18 @@ let test_msg_inline () =
   Alcotest.(check int) "ring len = payload for inline" 6 (Msg.ring_len m);
   Alcotest.(check string) "bytes" "abcdef" (Bytes.to_string (Msg.to_bytes m))
 
-let test_msg_pages () =
-  let pages = Array.init 2 (fun _ -> Sds_vm.Page.create ~owner:1) in
-  Bytes.fill pages.(0).Sds_vm.Page.data 0 4096 'A';
-  Bytes.fill pages.(1).Sds_vm.Page.data 0 4096 'B';
-  let m = Msg.make (Msg.Pages (pages, 5000)) in
+let test_msg_pool () =
+  let pool = Sds_vm.Pagepool.create ~pages:2 () in
+  let h = Sds_vm.Pagepool.handle pool in
+  let fill c len =
+    let page = Sds_vm.Pagepool.alloc h in
+    Sds_vm.Pagepool.blit_from_bytes pool ~src:(Bytes.make len c) ~src_off:0 ~page ~off:0 ~len;
+    Sds_ring.Spsc_ring.desc_entry ~page ~off:0 ~len
+  in
+  let entries = [| fill 'A' 4096; fill 'B' 904 |] in
+  let m = Msg.make (Msg.Pool { pool; entries; len = 5000 }) in
   Alcotest.(check int) "payload len" 5000 (Msg.payload_len m);
-  Alcotest.(check int) "ring len = 8B per page address" 16 (Msg.ring_len m);
+  Alcotest.(check int) "ring len = 8B per descriptor" 16 (Msg.ring_len m);
   let b = Msg.to_bytes m in
   Alcotest.(check char) "first page" 'A' (Bytes.get b 0);
   Alcotest.(check char) "second page" 'B' (Bytes.get b 4500)
@@ -347,7 +352,7 @@ let test_host_identity () =
 let suite =
   [
     Alcotest.test_case "msg inline" `Quick test_msg_inline;
-    Alcotest.test_case "msg pages" `Quick test_msg_pages;
+    Alcotest.test_case "msg pages" `Quick test_msg_pool;
     Alcotest.test_case "shm delivery latency" `Quick test_shm_delivery_latency;
     Alcotest.test_case "shm flow control + credit return" `Quick test_shm_flow_control;
     Alcotest.test_case "shm fifo content" `Quick test_shm_fifo_content;

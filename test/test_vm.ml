@@ -1,154 +1,7 @@
-(* Tests for the simulated virtual-memory subsystem: pages, copy-on-write,
-   pools and the page-return protocol, buffer spaces. *)
+(* Tests for the page pool behind the zero-copy descriptor path: refcounted
+   allocation, blits and slices, misuse detection, per-handle caches. *)
 
 open Sds_vm
-
-let test_page_write_read () =
-  let p = Page.create ~owner:1 in
-  let src = Bytes.of_string "hello-page" in
-  let p', copied = Page.write p ~off:100 ~src ~src_off:0 ~len:10 in
-  Alcotest.(check bool) "no COW on private page" false copied;
-  Alcotest.(check bool) "same page" true (p == p');
-  let dst = Bytes.create 10 in
-  Page.read p ~off:100 ~dst ~dst_off:0 ~len:10;
-  Alcotest.(check string) "content" "hello-page" (Bytes.to_string dst)
-
-let test_page_cow () =
-  let p = Page.create ~owner:1 in
-  let original = Bytes.of_string "original" in
-  ignore (Page.write p ~off:0 ~src:original ~src_off:0 ~len:8);
-  (* Share it (sender marks COW before handing to the receiver). *)
-  Page.share p;
-  Alcotest.(check int) "refcount 2" 2 p.Page.refcount;
-  (* Writing now must copy, leaving the shared original intact. *)
-  let fresh, copied = Page.write p ~off:0 ~src:(Bytes.of_string "modified") ~src_off:0 ~len:8 in
-  Alcotest.(check bool) "COW triggered" true copied;
-  Alcotest.(check bool) "new page" true (fresh != p);
-  let dst = Bytes.create 8 in
-  Page.read p ~off:0 ~dst ~dst_off:0 ~len:8;
-  Alcotest.(check string) "original preserved" "original" (Bytes.to_string dst);
-  Page.read fresh ~off:0 ~dst ~dst_off:0 ~len:8;
-  Alcotest.(check string) "copy modified" "modified" (Bytes.to_string dst);
-  Alcotest.(check int) "old page deref'd" 1 p.Page.refcount
-
-let test_page_write_after_last_unref () =
-  let p = Page.create ~owner:1 in
-  Page.share p;
-  Page.unref p;
-  (* Back to exclusive: write in place, no copy. *)
-  let p', copied = Page.write p ~off:0 ~src:(Bytes.of_string "x") ~src_off:0 ~len:1 in
-  Alcotest.(check bool) "no copy when exclusive again" false copied;
-  Alcotest.(check bool) "same page" true (p == p')
-
-let test_pool_alloc_free () =
-  let pool = Pool.create ~owner:7 ~capacity:4 in
-  Alcotest.(check int) "initial" 4 (Pool.available pool);
-  let p = Pool.alloc pool in
-  Alcotest.(check int) "allocated" 3 (Pool.available pool);
-  (match Pool.free pool p with
-  | Pool.Local -> ()
-  | Pool.Foreign _ -> Alcotest.fail "own page reported foreign");
-  Alcotest.(check int) "returned" 4 (Pool.available pool)
-
-let test_pool_refill_on_empty () =
-  let pool = Pool.create ~owner:7 ~capacity:1 in
-  let _ = Pool.alloc pool in
-  let _ = Pool.alloc pool in
-  Alcotest.(check int) "refilled from kernel" 1 (Pool.refills pool)
-
-let test_pool_foreign_return () =
-  let pool_a = Pool.create ~owner:1 ~capacity:2 in
-  let pool_b = Pool.create ~owner:2 ~capacity:2 in
-  let page = Pool.alloc pool_a in
-  (* B frees A's page: must be routed back to owner 1, not pooled by B. *)
-  (match Pool.free pool_b page with
-  | Pool.Foreign owner -> Alcotest.(check int) "owner id" 1 owner
-  | Pool.Local -> Alcotest.fail "foreign page pooled locally");
-  Alcotest.(check int) "B's pool untouched" 2 (Pool.available pool_b);
-  Pool.take_back pool_a page;
-  Alcotest.(check int) "A recovered its page" 2 (Pool.available pool_a)
-
-let test_pool_take_back_rejects_foreign () =
-  let pool_a = Pool.create ~owner:1 ~capacity:1 in
-  let pool_b = Pool.create ~owner:2 ~capacity:1 in
-  let page_b = Pool.alloc pool_b in
-  Alcotest.check_raises "wrong owner" (Invalid_argument "Pool.take_back: not our page")
-    (fun () -> Pool.take_back pool_a page_b)
-
-let test_pool_shared_page_not_freed_early () =
-  let pool = Pool.create ~owner:1 ~capacity:2 in
-  let p = Pool.alloc pool in
-  Page.share p;
-  (match Pool.free pool p with
-  | Pool.Local -> ()
-  | Pool.Foreign _ -> Alcotest.fail "unexpected foreign");
-  (* Still one reference out: the page must NOT be back in the free list. *)
-  Alcotest.(check int) "not pooled while shared" 1 (Pool.available pool);
-  (match Pool.free pool p with Pool.Local -> () | Pool.Foreign _ -> Alcotest.fail "foreign");
-  Alcotest.(check int) "pooled after last unref" 2 (Pool.available pool)
-
-let test_space_roundtrip () =
-  let sp = Space.create ~pid:11 ~pool_capacity:64 in
-  let payload = Bytes.init 10_000 (fun i -> Char.chr (i mod 256)) in
-  let buf = Space.buffer_of_bytes sp payload ~off:0 ~len:10_000 in
-  Alcotest.(check int) "page count" 3 (Array.length buf.Space.pages);
-  let back = Space.to_bytes buf in
-  Alcotest.(check string) "content intact" (Bytes.to_string payload) (Bytes.to_string back)
-
-let test_space_cow_on_write () =
-  let sp = Space.create ~pid:12 ~pool_capacity:64 in
-  let payload = Bytes.make 8192 'a' in
-  let buf = Space.buffer_of_bytes sp payload ~off:0 ~len:8192 in
-  Space.share_for_send buf;
-  (* Overwrite crossing a page boundary: both touched pages must COW. *)
-  let copies = Space.write sp buf ~at:4000 ~src:(Bytes.make 200 'b') ~src_off:0 ~len:200 in
-  Alcotest.(check int) "two pages copied" 2 copies;
-  Alcotest.(check int) "space counted them" 2 (Space.cow_copies sp);
-  let back = Space.to_bytes buf in
-  Alcotest.(check char) "before region" 'a' (Bytes.get back 3999);
-  Alcotest.(check char) "in region" 'b' (Bytes.get back 4100);
-  Alcotest.(check char) "after region" 'a' (Bytes.get back 4200)
-
-let test_space_unmap_returns_foreign () =
-  let sender = Space.create ~pid:21 ~pool_capacity:16 in
-  let receiver = Space.create ~pid:22 ~pool_capacity:16 in
-  let payload = Bytes.make 4096 'q' in
-  let buf = Space.buffer_of_bytes sender payload ~off:0 ~len:4096 in
-  (* Receiver maps the sender's page, then unmaps it: the page must be
-     reported for return to pid 21. *)
-  let rbuf = Space.map_received receiver buf.Space.pages ~len:4096 in
-  let foreign = Space.unmap receiver rbuf in
-  Alcotest.(check int) "one page to return" 1 (List.length foreign);
-  (match foreign with
-  | [ (owner, _) ] -> Alcotest.(check int) "owner is the sender" 21 owner
-  | _ -> Alcotest.fail "expected one foreign page")
-
-let prop_space_roundtrip =
-  QCheck.Test.make ~name:"space buffer_of_bytes/to_bytes roundtrip" ~count:100
-    QCheck.(string_of_size (Gen.int_range 1 20000))
-    (fun s ->
-      let sp = Space.create ~pid:31 ~pool_capacity:64 in
-      let buf = Space.buffer_of_bytes sp (Bytes.of_string s) ~off:0 ~len:(String.length s) in
-      Bytes.to_string (Space.to_bytes buf) = s)
-
-let prop_cow_preserves_sharers =
-  QCheck.Test.make ~name:"COW writes never alter the shared original" ~count:100
-    QCheck.(pair (int_range 0 4000) (int_range 1 96))
-    (fun (at, len) ->
-      let sp = Space.create ~pid:32 ~pool_capacity:64 in
-      let original = Bytes.make 4096 'o' in
-      let buf = Space.buffer_of_bytes sp original ~off:0 ~len:4096 in
-      (* Keep a handle on the original pages, as a receiver would. *)
-      let shared_pages = Array.copy buf.Space.pages in
-      Space.share_for_send buf;
-      ignore (Space.write sp buf ~at ~src:(Bytes.make len 'w') ~src_off:0 ~len);
-      (* The shared originals must still read all-'o'. *)
-      Array.for_all
-        (fun p ->
-          let d = Bytes.create 4096 in
-          Page.read p ~off:0 ~dst:d ~dst_off:0 ~len:4096;
-          Bytes.for_all (fun c -> c = 'o') d)
-        shared_pages)
 
 (* ---- the real shared page pool (§4.6 descriptor path) ---- *)
 
@@ -244,19 +97,6 @@ let test_pagepool_int_le_roundtrip () =
 
 let suite =
   [
-    Alcotest.test_case "page write/read" `Quick test_page_write_read;
-    Alcotest.test_case "page copy-on-write" `Quick test_page_cow;
-    Alcotest.test_case "page write after last unref" `Quick test_page_write_after_last_unref;
-    Alcotest.test_case "pool alloc/free" `Quick test_pool_alloc_free;
-    Alcotest.test_case "pool kernel refill" `Quick test_pool_refill_on_empty;
-    Alcotest.test_case "pool foreign return" `Quick test_pool_foreign_return;
-    Alcotest.test_case "pool take_back owner check" `Quick test_pool_take_back_rejects_foreign;
-    Alcotest.test_case "pool holds shared pages" `Quick test_pool_shared_page_not_freed_early;
-    Alcotest.test_case "space roundtrip" `Quick test_space_roundtrip;
-    Alcotest.test_case "space COW on write" `Quick test_space_cow_on_write;
-    Alcotest.test_case "space unmap returns foreign pages" `Quick test_space_unmap_returns_foreign;
-    QCheck_alcotest.to_alcotest prop_space_roundtrip;
-    QCheck_alcotest.to_alcotest prop_cow_preserves_sharers;
     Alcotest.test_case "pagepool alloc/blit/slice roundtrip" `Quick test_pagepool_roundtrip;
     Alcotest.test_case "pagepool double release raises" `Quick test_pagepool_double_release;
     Alcotest.test_case "pagepool use after release raises" `Quick test_pagepool_use_after_release;
