@@ -188,7 +188,7 @@ let json_ring : Ring_bench.result list ref = ref []
 
 (* --copy-policy knob for the ring2core stream rows (Libra selective
    copying); set from argv before the experiments run. *)
-let copy_mode = ref Socksdirect.Copy_policy.Adaptive
+let copy_mode = ref Sds_proto.Copy_policy.Adaptive
 
 let experiments : (string * (unit -> unit)) list =
   [
@@ -237,7 +237,7 @@ let () =
   (* --copy-policy MODE: consume the flag and its argument. *)
   let rec extract_copy_policy acc = function
     | "--copy-policy" :: m :: rest -> (
-      match Socksdirect.Copy_policy.mode_of_string m with
+      match Sds_proto.Copy_policy.mode_of_string m with
       | Some mode ->
         copy_mode := mode;
         List.rev_append acc rest

@@ -138,7 +138,7 @@ let cross_domain_throughput ?(ring_size = 1 lsl 20) ?(batch = 64) ~payload ~msgs
    regime. *)
 
 module Pp = Sds_vm.Pagepool
-module Cp = Socksdirect.Copy_policy
+module Cp = Sds_proto.Copy_policy
 
 (* Producer pacing hysteresis: back off when pool occupancy crosses the
    high mark, resume only once the consumer has drained it below the low

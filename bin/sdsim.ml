@@ -166,7 +166,11 @@ let render_top ~frame ~frames =
   let occ = if pages > 0 then 100. *. float_of_int in_use /. float_of_int pages else 0. in
   Buffer.add_string b
     (Printf.sprintf "\npool: %d/%d pages in use (%.1f%%)   copy threshold: %d B (%d switches)\n"
-       in_use pages occ (gauge "copy_policy.threshold") (counter "copy_policy.switches"));
+       in_use pages occ
+       (match gauge "copy_policy.threshold" with
+       | 0 -> Sds_proto.Copy_policy.base_threshold (* no move yet *)
+       | t -> t)
+       (counter "copy_policy.switches"));
   Buffer.add_string b
     (Printf.sprintf "ring: %d enq / %d deq (backlog %d)   parks: %d  wakes: %d\n"
        (counter "ring.enqueues") (counter "ring.dequeues")

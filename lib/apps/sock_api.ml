@@ -66,7 +66,7 @@ module Sds_unopt : S with type endpoint = Socksdirect.Libsd.thread = struct
 
   let make_endpoint host ~core =
     let config =
-      { Socksdirect.Libsd.batching = false; copy_policy = Socksdirect.Copy_policy.Always_copy }
+      { Socksdirect.Libsd.batching = false; copy_policy = Sds_proto.Copy_policy.Always_copy }
     in
     let ctx = Socksdirect.Libsd.init ~config host in
     Socksdirect.Libsd.create_thread ctx ~core ()

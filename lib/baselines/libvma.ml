@@ -13,6 +13,7 @@
 open Sds_sim
 open Sds_transport
 module Kernel = Sds_kernel.Kernel
+module Core = Sds_proto.Stream_core
 
 type stack = {
   host : Host.t;
@@ -29,7 +30,7 @@ type conn = {
   mutable peer : conn option;
   mutable closed : bool;
   mutable in_flight : int;
-  mutable partial : (Bytes.t * int) option;
+  cursor : Core.cursor;  (** partly read message *)
 }
 
 type listener = { vl_backlog : conn Queue.t; vl_wq : Waitq.t; vl_stack : stack }
@@ -67,7 +68,7 @@ let listen host ~port =
 
 let make_conn stack =
   { vc_stack = stack; qp = None; kconn = None; incoming = Queue.create (); rx_wq = Waitq.create ();
-    peer = None; closed = false; in_flight = 0; partial = None }
+    peer = None; closed = false; in_flight = 0; cursor = Core.cursor () }
 
 let deliver conn msg =
   Queue.push msg conn.incoming;
@@ -166,29 +167,19 @@ let rec recv conn buf ~off ~len =
   match conn.kconn with
   | Some (kp, fd) -> Kernel.recv kp fd buf ~off ~len
   | None -> (
-    match conn.partial with
-    | Some (b, consumed) ->
-      let avail = Bytes.length b - consumed in
-      let take = min len avail in
-      Bytes.blit b consumed buf off take;
-      conn.partial <- (if take = avail then None else Some (b, consumed + take));
-      take
-    | None -> (
+    if Core.pending conn.cursor then Core.take conn.cursor buf ~off ~len
+    else
       match Queue.take_opt conn.incoming with
       | Some msg ->
         let b = Msg.to_bytes msg in
-        let plen = Bytes.length b in
-        Proc.sleep_ns (receiver_cost conn.vc_stack plen);
-        let take = min len plen in
-        Bytes.blit b 0 buf off take;
-        if take < plen then conn.partial <- Some (b, take);
-        take
+        Proc.sleep_ns (receiver_cost conn.vc_stack (Bytes.length b));
+        Core.land_bytes conn.cursor b ~pos:0 ~stop:(Bytes.length b) buf ~off ~len
       | None ->
         if conn.closed && conn.in_flight = 0 then 0
         else begin
           (match Waitq.wait conn.rx_wq with _ -> ());
           recv conn buf ~off ~len
-        end))
+        end)
 
 let close conn =
   conn.closed <- true;

@@ -9,6 +9,7 @@
 
 open Sds_sim
 open Sds_transport
+module Core = Sds_proto.Stream_core
 
 exception Not_supported of string
 
@@ -22,7 +23,7 @@ type conn = {
   mutable peer : conn option;
   mutable closed : bool;
   mutable in_flight : int;  (** sends not yet delivered, for graceful close *)
-  mutable partial : (Bytes.t * int) option;
+  cursor : Core.cursor;  (** partly read message *)
 }
 
 type listener = { l_backlog : conn Queue.t; l_wq : Waitq.t; l_host : Host.t }
@@ -77,7 +78,7 @@ let make_conn host peer_host =
     peer = None;
     closed = false;
     in_flight = 0;
-    partial = None;
+    cursor = Core.cursor ();
   }
 
 let connect host ~dst ~port =
@@ -148,29 +149,19 @@ let rec send conn buf ~off ~len =
   end
 
 let rec recv conn buf ~off ~len =
-  match conn.partial with
-  | Some (b, consumed) ->
-    let avail = Bytes.length b - consumed in
-    let take = min len avail in
-    Bytes.blit b consumed buf off take;
-    conn.partial <- (if take = avail then None else Some (b, consumed + take));
-    take
-  | None -> (
+  if Core.pending conn.cursor then Core.take conn.cursor buf ~off ~len
+  else
     match Queue.take_opt conn.incoming with
     | Some msg ->
       let b = Msg.to_bytes msg in
-      let plen = Bytes.length b in
-      Proc.sleep_ns (side_cost conn.cost plen);
-      let take = min len plen in
-      Bytes.blit b 0 buf off take;
-      if take < plen then conn.partial <- Some (b, take);
-      take
+      Proc.sleep_ns (side_cost conn.cost (Bytes.length b));
+      Core.land_bytes conn.cursor b ~pos:0 ~stop:(Bytes.length b) buf ~off ~len
     | None ->
       if conn.closed && conn.in_flight = 0 then 0
       else begin
         (match Waitq.wait conn.rx_wq with _ -> ());
         recv conn buf ~off ~len
-      end)
+      end
 
 let close conn =
   conn.closed <- true;

@@ -42,12 +42,12 @@ exception Bad_fd of int
 
 type config = {
   batching : bool;  (** adaptive RDMA batching (§4.2); off in "SD (unopt)" *)
-  copy_policy : Copy_policy.mode;
+  copy_policy : Sds_proto.Copy_policy.mode;
       (** Libra-style selective copying onto the descriptor path (§4.3,
           §4.6); [Always_copy] in "SD (unopt)" *)
 }
 
-let default_config = { batching = true; copy_policy = Copy_policy.Adaptive }
+let default_config = { batching = true; copy_policy = Sds_proto.Copy_policy.Adaptive }
 
 (* Empty polls before a receiver switches to interrupt mode (§4.4). *)
 let yield_rounds = 256
@@ -482,27 +482,7 @@ let accept th fd =
 
 (* ---- send / recv ---- *)
 
-let max_inline_chunk = 8 * 1024
-
-(* Cap on descriptors per ring record, so a huge send splits into several
-   descriptor records instead of one record that could outgrow the ring. *)
-let max_desc_per_msg = 256
-
-let send_chunks th s buf ~off ~len =
-  if len = 0 then ()
-  else if len <= max_inline_chunk then send_msg th s (Msg.data (Bytes.sub buf off len))
-  else begin
-    (* Large sends split into inline chunks travel as one vectored batch
-       through the ring (§4.2 adaptive batching). *)
-    let rec chunks off len =
-      if len = 0 then []
-      else begin
-        let chunk = min len max_inline_chunk in
-        Msg.data (Bytes.sub buf off chunk) :: chunks (off + chunk) (len - chunk)
-      end
-    in
-    send_msgs th s (chunks off len)
-  end
+module Core = Sds_proto.Stream_core
 
 (* This process's staging pool and allocation handle, created on first
    use. *)
@@ -515,62 +495,34 @@ let pool_handle ctx =
     ctx.pool <- Some ph;
     ph
 
-(* The zero-copy path (§4.3, §4.6), the same over SHM and RDMA: stage the
-   payload into freshly allocated pages of the sending process's pool and
-   send {page, off, len} descriptor records — an ownership handoff; no
-   payload byte crosses the ring.  Returns [false] (having released any
-   pages it took) when the pool is exhausted, in which case the caller
-   falls back to the inline-copy path. *)
-let send_pool th s buf ~off ~len =
-  let module Pp = Sds_vm.Pagepool in
-  let pool, h = pool_handle th.ctx in
-  let npages = (len + Pp.page_size - 1) / Pp.page_size in
-  let pages = Array.make npages 0 in
-  let got = ref 0 in
-  let ok = ref true in
-  while !ok && !got < npages do
-    let p = Pp.alloc h in
-    if p = Pp.no_page then ok := false
-    else begin
-      pages.(!got) <- p;
-      incr got
-    end
-  done;
-  if not !ok then begin
-    for i = 0 to !got - 1 do
-      Pp.release h pages.(i)
-    done;
-    false
-  end
-  else begin
-    (* Stage and pack.  The app buffer is free for reuse the moment send
-       returns — the pages travel, not the buffer (§4.6 steady state). *)
-    let entries = Array.make npages 0 in
-    for i = 0 to npages - 1 do
-      let chunk_off = i * Pp.page_size in
-      let chunk = min Pp.page_size (len - chunk_off) in
-      Pp.blit_from_bytes pool ~src:buf ~src_off:(off + chunk_off) ~page:pages.(i) ~off:0
-        ~len:chunk;
-      entries.(i) <- Sds_ring.Spsc_ring.desc_entry ~page:pages.(i) ~off:0 ~len:chunk
-    done;
-    (* Sim cost: one driver call to pin and export the pages plus per-page
-       grant bookkeeping, instead of the memcpy. *)
-    Proc.sleep_ns (Cost.syscall th.ctx.cost + (npages * 20));
-    (* Split into bounded descriptor records and hand off. *)
-    let rec records i =
-      if i >= npages then []
-      else begin
-        let n = min max_desc_per_msg (npages - i) in
-        let sub = Array.sub entries i n in
-        let sub_len =
-          if i + n >= npages then len - (i * Pp.page_size) else n * Pp.page_size
-        in
-        Msg.make (Msg.Pool { pool; entries = sub; len = sub_len }) :: records (i + n)
-      end
-    in
-    send_msgs th s (records 0);
-    true
-  end
+(* One send through the shared record plan, the same over SHM and RDMA:
+   descriptor records stage into the sending process's pool — an ownership
+   handoff, no payload byte crosses the ring (§4.3, §4.6).  More than one
+   record travels as one vectored batch (§4.2 adaptive batching). *)
+let send_records th (s : Sock.t) buf ~off ~len =
+  let msgs = ref [] and staged = ref 0 in
+  let desc ~off ~len =
+    let pool, h = pool_handle th.ctx in
+    let entries = Array.make (Core.pages_for len) 0 in
+    Core.stage pool h buf ~off ~len entries
+    && begin
+         staged := !staged + Array.length entries;
+         msgs := Msg.make (Msg.Pool { pool; entries; len }) :: !msgs;
+         true
+       end
+  in
+  let inline ~off ~len = msgs := Msg.data (Bytes.sub buf off len) :: !msgs in
+  let outcome =
+    Core.send s.Sock.policy ~pool:(Option.map fst th.ctx.pool) ~off ~len ~desc ~inline
+  in
+  (* Sim cost of staging: one driver call to pin and export the pages plus
+     per-page grant bookkeeping, instead of the memcpy. *)
+  if !staged > 0 then Proc.sleep_ns (Cost.syscall th.ctx.cost + (!staged * 20));
+  (match List.rev !msgs with
+  | [] -> ()
+  | [ ({ Msg.payload = Msg.Inline _; _ } as m) ] -> send_msg th s m
+  | msgs -> send_msgs th s msgs);
+  outcome
 
 let send th fd buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "libsd.send";
@@ -587,80 +539,57 @@ let send th fd buf ~off ~len =
     Obs.Metrics.add m_send_bytes len;
     Obs.Metrics.observe h_send_size len;
     Token.with_held s.Sock.send_token ~tid:th.tid (fun () ->
-        let zc_sent =
-          match s.Sock.tx with
-          | Some (Sock.Tx_chan _) when len > 0 ->
-            (* Libra-style per-socket selective copying, SHM and RDMA alike. *)
-            Copy_policy.decide s.Sock.policy ~pool:(Option.map fst th.ctx.pool) ~len
-            && (send_pool th s buf ~off ~len
-               ||
-               ((* Pool exhausted: Libra fallback to the copy path. *)
-                Obs.Metrics.incr m_pool_fallbacks;
-                Obs.Trace.emit Obs.Trace.Fallback;
-                false))
-          | Some (Sock.Tx_chan _ | Sock.Tx_kernel _) | None -> false
-        in
-        if zc_sent then begin
-          s.Sock.zerocopy_sends <- s.Sock.zerocopy_sends + 1;
-          Obs.Metrics.incr m_zerocopy_sends
-        end
-        else send_chunks th s buf ~off ~len;
+        (match s.Sock.tx with
+        | Some (Sock.Tx_kernel (kproc, kfd)) -> ignore (Kernel.send kproc kfd buf ~off ~len)
+        | Some (Sock.Tx_chan _) | None -> (
+          match send_records th s buf ~off ~len with
+          | Core.Zero_copy ->
+            s.Sock.zerocopy_sends <- s.Sock.zerocopy_sends + 1;
+            Obs.Metrics.incr m_zerocopy_sends
+          | Core.Fell_back ->
+            (* Pool exhausted: Libra fallback to the copy path. *)
+            Obs.Metrics.incr m_pool_fallbacks;
+            Obs.Trace.emit Obs.Trace.Fallback
+          | Core.Copied -> ()));
         s.Sock.bytes_sent <- s.Sock.bytes_sent + len);
     len
 
-(* Copy message payload into the app buffer; stores any remainder for the
-   next recv (stream semantics).  Pool pages go back to the sender's pool
-   through its shared free stack: the receiver has no handle there. *)
-let consume_payload th (s : Sock.t) msg ~dst ~off ~len =
-  match msg.Msg.payload with
-  | Msg.Pool { pool; entries; len = plen } when len >= plen ->
-    (* Whole descriptor message fits: the ownership handoff is the remap —
-       charge remap cost, land the payload, drop our reference. *)
-    let module Pp = Sds_vm.Pagepool in
-    let module R = Sds_ring.Spsc_ring in
-    s.Sock.zerocopy_recvs <- s.Sock.zerocopy_recvs + 1;
-    Obs.Metrics.incr m_zerocopy_recvs;
-    Obs.Trace.emit_n Obs.Trace.Zerocopy_remap plen;
-    Proc.sleep_ns (Cost.remap_cost th.ctx.cost plen);
-    let pos = ref off in
-    Array.iter
-      (fun e ->
-        let elen = R.desc_len e in
-        Pp.blit_to_bytes pool ~page:(R.desc_page e) ~off:(R.desc_off e) ~dst ~dst_off:!pos
-          ~len:elen;
-        pos := !pos + elen;
-        Pp.release_global pool (R.desc_page e))
-      entries;
-    plen
-  | _ ->
-    let b = Msg.to_bytes msg in
-    let plen = Bytes.length b in
-    let take = min len plen in
-    Bytes.blit b 0 dst off take;
-    (match msg.Msg.payload with
-    | Msg.Pool { pool; entries; _ } ->
-      (* Partial read degrades to a copy ([to_bytes] above materialised the
-         payload); the pages are done travelling — release our reference. *)
-      Proc.sleep_ns (Cost.copy_cost th.ctx.cost take);
-      Array.iter
-        (fun e -> Sds_vm.Pagepool.release_global pool (Sds_ring.Spsc_ring.desc_page e))
-        entries
-    | Msg.Inline _ -> ());
-    if take < plen then s.Sock.partial <- Some (b, take);
-    take
+(* Land a data message into the app buffer through the socket's cursor;
+   what [len] cannot hold stays pending for the next recv (stream
+   semantics).  Pool pages go back to the sender's pool through its shared
+   free stack: the receiver has no handle there.
 
-(* [consume_payload] plus span-stage attribution: the consume-completion
-   stamp closes the message's span, and the stamps it carried (creation,
-   publish, visibility, dequeue, decode) become the per-stage histogram
-   observations.  Control messages never reach here ([handle_control]
-   filters first), so span.* histograms describe data traffic only. *)
+   The consume-completion stamp then closes the message's span, and the
+   stamps it carried (creation, publish, visibility, dequeue, decode)
+   become the per-stage histogram observations.  Control messages never
+   reach here ([handle_control] filters first), so span.* histograms
+   describe data traffic only. *)
 let consume th (s : Sock.t) msg ~dst ~off ~len =
   let remapped =
     match msg.Msg.payload with
     | Msg.Pool { len = plen; _ } -> len >= plen
     | Msg.Inline _ -> false
   in
-  let n = consume_payload th s msg ~dst ~off ~len in
+  let n =
+    match msg.Msg.payload with
+    | Msg.Inline b -> Core.land_bytes s.Sock.cursor b ~pos:0 ~stop:(Bytes.length b) dst ~off ~len
+    | Msg.Pool { pool; entries; len = plen } ->
+      if remapped then begin
+        (* Whole descriptor message fits: the ownership handoff is the
+           remap — charge remap cost, land the payload, drop our reference. *)
+        s.Sock.zerocopy_recvs <- s.Sock.zerocopy_recvs + 1;
+        Obs.Metrics.incr m_zerocopy_recvs;
+        Obs.Trace.emit_n Obs.Trace.Zerocopy_remap plen;
+        Proc.sleep_ns (Cost.remap_cost th.ctx.cost plen)
+      end;
+      let n =
+        Core.land_desc s.Sock.cursor Core.Global pool entries ~count:(Array.length entries) dst
+          ~off ~len
+      in
+      (* A partial read degrades to a copy out of the pages. *)
+      if not remapped then Proc.sleep_ns (Cost.copy_cost th.ctx.cost n);
+      n
+  in
   (match msg.Msg.kind with
   | Msg.Data ->
     Sds_obs.Span.observe_stages ~seq:msg.Msg.seq ~send:msg.Msg.span_send ~pub:msg.Msg.span_pub
@@ -669,7 +598,24 @@ let consume th (s : Sock.t) msg ~dst ~off ~len =
   | Msg.Control _ -> ());
   n
 
-let rec recv th fd buf ~off ~len =
+let received (s : Sock.t) n =
+  s.Sock.bytes_received <- s.Sock.bytes_received + n;
+  Obs.Metrics.incr m_recvs;
+  Obs.Metrics.add m_recv_bytes n;
+  n
+
+(* Wait for the next data message, consuming control messages on the way
+   (we already hold the recv token), and land it.  0 on EOF. *)
+let rec recv_msg th (s : Sock.t) buf ~off ~len =
+  match next_msg th s with
+  | None -> if s.Sock.reset then raise Connection_reset else 0
+  | Some msg when handle_control s msg ->
+    if s.Sock.reset then raise Connection_reset
+    else if Sock.is_eof s then 0
+    else recv_msg th s buf ~off ~len
+  | Some msg -> received s (consume th s msg ~dst:buf ~off ~len)
+
+let recv th fd buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "libsd.recv";
   match lookup th fd with
   | K (kproc, kfd) -> Kernel.recv kproc kfd buf ~off ~len
@@ -679,50 +625,13 @@ let rec recv th fd buf ~off ~len =
         (* Reset beats everything, including buffered data: ECONNRESET
            semantics, the same drop Linux performs. *)
         if s.Sock.reset then begin
-          s.Sock.partial <- None;
+          Core.drop s.Sock.cursor;
           Queue.clear s.Sock.incoming;
           raise Connection_reset
         end;
-        match s.Sock.partial with
-        | Some (b, consumed) ->
-          let avail = Bytes.length b - consumed in
-          let take = min len avail in
-          Bytes.blit b consumed buf off take;
-          s.Sock.partial <- (if take = avail then None else Some (b, consumed + take));
-          s.Sock.bytes_received <- s.Sock.bytes_received + take;
-          Obs.Metrics.incr m_recvs;
-          Obs.Metrics.add m_recv_bytes take;
-          take
-        | None -> (
-          match next_msg th s with
-          | None -> if s.Sock.reset then raise Connection_reset else 0 (* EOF *)
-          | Some msg ->
-            if handle_control s msg then recv_again th fd buf ~off ~len s
-            else begin
-              let n = consume th s msg ~dst:buf ~off ~len in
-              s.Sock.bytes_received <- s.Sock.bytes_received + n;
-              Obs.Metrics.incr m_recvs;
-              Obs.Metrics.add m_recv_bytes n;
-              n
-            end))
-
-and recv_again th fd buf ~off ~len (s : Sock.t) =
-  if s.Sock.reset then raise Connection_reset
-  else if Sock.is_eof s then 0
-  else
-    (* Control message consumed; keep waiting for data without recursion
-       through the token (we already hold it). *)
-    match next_msg th s with
-    | None -> if s.Sock.reset then raise Connection_reset else 0
-    | Some msg ->
-      if handle_control s msg then recv_again th fd buf ~off ~len s
-      else begin
-        let n = consume th s msg ~dst:buf ~off ~len in
-        s.Sock.bytes_received <- s.Sock.bytes_received + n;
-        Obs.Metrics.incr m_recvs;
-        Obs.Metrics.add m_recv_bytes n;
-        n
-      end
+        if Core.pending s.Sock.cursor then
+          received s (Core.take s.Sock.cursor buf ~off ~len)
+        else recv_msg th s buf ~off ~len)
 
 (* ---- shutdown / close ---- *)
 

@@ -26,7 +26,7 @@ exception Would_block
 
 type config = {
   batching : bool;  (** adaptive RDMA batching (§4.2); off in "SD (unopt)" *)
-  copy_policy : Copy_policy.mode;
+  copy_policy : Sds_proto.Copy_policy.mode;
       (** §4.6 + Libra selective copying onto the descriptor path, over SHM
           and RDMA alike; [Always_copy] in "SD (unopt)" *)
 }

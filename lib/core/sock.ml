@@ -77,7 +77,7 @@ type t = {
   incoming : Msg.t Queue.t;  (** completed messages ready for recv *)
   rx_wq : Waitq.t;
   mutable deliver_hooks : (unit -> unit) list;  (** epoll notification *)
-  mutable partial : (Bytes.t * int) option;  (** stream-reassembly remainder *)
+  cursor : Sds_proto.Stream_core.cursor;  (** partly read record, guarded by [recv_token] *)
   mutable rx_interrupt : bool;  (** receiver sleeping in interrupt mode *)
   mutable nonblocking : bool;  (** O_NONBLOCK *)
   mutable local_port : int;
@@ -93,7 +93,7 @@ type t = {
   mutable zerocopy_sends : int;
   mutable zerocopy_recvs : int;
   mutable requested_bufsize : int option;  (** SO_SNDBUF/SO_RCVBUF request *)
-  policy : Copy_policy.t;  (** per-socket selective-copy state (§4.6 + Libra) *)
+  policy : Sds_proto.Copy_policy.t;  (** per-socket selective-copy state (§4.6 + Libra) *)
 }
 
 let counter = ref 0
@@ -112,7 +112,7 @@ let create host ~cost ~tid ?copy_mode () =
     incoming = Queue.create ();
     rx_wq = Waitq.create ();
     deliver_hooks = [];
-    partial = None;
+    cursor = Sds_proto.Stream_core.cursor ();
     rx_interrupt = false;
     nonblocking = false;
     local_port = 0;
@@ -128,7 +128,7 @@ let create host ~cost ~tid ?copy_mode () =
     zerocopy_sends = 0;
     zerocopy_recvs = 0;
     requested_bufsize = None;
-    policy = Copy_policy.create ?mode:copy_mode ();
+    policy = Sds_proto.Copy_policy.create ?mode:copy_mode ();
   }
 
 let tx_exn t =
@@ -158,7 +158,7 @@ let mark_reset t =
   end
 
 (* Data ready for recv without touching the transport? *)
-let has_buffered t = t.partial <> None || not (Queue.is_empty t.incoming)
+let has_buffered t = Sds_proto.Stream_core.pending t.cursor || not (Queue.is_empty t.incoming)
 
 (* Poll the rx transport once, moving anything available into [incoming].
    Returns true if progress was made. *)

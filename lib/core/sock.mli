@@ -64,7 +64,7 @@ type t = {
   incoming : Msg.t Queue.t;  (** completed messages ready for recv *)
   rx_wq : Waitq.t;
   mutable deliver_hooks : (unit -> unit) list;
-  mutable partial : (Bytes.t * int) option;  (** stream-reassembly remainder *)
+  cursor : Sds_proto.Stream_core.cursor;  (** partly read record, guarded by [recv_token] *)
   mutable rx_interrupt : bool;
   mutable nonblocking : bool;  (** O_NONBLOCK *)
   mutable local_port : int;
@@ -80,10 +80,10 @@ type t = {
   mutable zerocopy_sends : int;
   mutable zerocopy_recvs : int;
   mutable requested_bufsize : int option;  (** SO_SNDBUF/SO_RCVBUF request *)
-  policy : Copy_policy.t;  (** per-socket selective-copy state (§4.6 + Libra) *)
+  policy : Sds_proto.Copy_policy.t;  (** per-socket selective-copy state (§4.6 + Libra) *)
 }
 
-val create : Host.t -> cost:Cost.t -> tid:int -> ?copy_mode:Copy_policy.mode -> unit -> t
+val create : Host.t -> cost:Cost.t -> tid:int -> ?copy_mode:Sds_proto.Copy_policy.mode -> unit -> t
 
 val tx_exn : t -> tx_transport
 val rx_exn : t -> rx_transport

@@ -5,6 +5,7 @@
 
 open Sds_sim
 open Sds_transport
+module Core = Sds_proto.Stream_core
 
 (* ---- raw one-sided RDMA write ---- *)
 
@@ -22,7 +23,7 @@ end = struct
     mutable qp : Nic.qp option;
     incoming : Msg.t Queue.t;
     rx_wq : Waitq.t;
-    mutable partial : (Bytes.t * int) option;
+    cursor : Core.cursor;  (** partly read message *)
   }
 
   type listener = { backlog : conn Queue.t; l_wq : Waitq.t; l_host : Host.t }
@@ -38,7 +39,8 @@ end = struct
     l
 
   let make_conn host =
-    { host; qp = None; incoming = Queue.create (); rx_wq = Waitq.create (); partial = None }
+    { host; qp = None; incoming = Queue.create (); rx_wq = Waitq.create ();
+      cursor = Core.cursor () }
 
   let deliver c msg =
     Queue.push msg c.incoming;
@@ -79,26 +81,16 @@ end = struct
     len
 
   let rec recv _ c buf ~off ~len =
-    match c.partial with
-    | Some (b, consumed) ->
-      let avail = Bytes.length b - consumed in
-      let take = min len avail in
-      Bytes.blit b consumed buf off take;
-      c.partial <- (if take = avail then None else Some (b, consumed + take));
-      take
-    | None -> (
+    if Core.pending c.cursor then Core.take c.cursor buf ~off ~len
+    else
       match Queue.take_opt c.incoming with
       | Some msg ->
         Proc.sleep_ns 30 (* CQ poll + completion handling *);
         let b = Msg.to_bytes msg in
-        let plen = Bytes.length b in
-        let take = min len plen in
-        Bytes.blit b 0 buf off take;
-        if take < plen then c.partial <- Some (b, take);
-        take
+        Core.land_bytes c.cursor b ~pos:0 ~stop:(Bytes.length b) buf ~off ~len
       | None ->
         (match Waitq.wait c.rx_wq with _ -> ());
-        recv c.host c buf ~off ~len)
+        recv c.host c buf ~off ~len
 
   let close _ c = match c.qp with Some qp -> Nic.destroy_qp qp | None -> ()
 end
@@ -114,7 +106,7 @@ end = struct
 
   type endpoint = Host.t
 
-  type conn = { tx : Shm_chan.t; rx : Shm_chan.t; mutable partial : (Bytes.t * int) option }
+  type conn = { tx : Shm_chan.t; rx : Shm_chan.t; cursor : Core.cursor }
   type listener = { backlog : conn Queue.t; l_wq : Waitq.t }
 
   let listeners : (int * int, listener) Hashtbl.t = Hashtbl.create 8
@@ -133,9 +125,9 @@ end = struct
     | Some l ->
       let a2b = Shm_chan.create host.Host.engine ~cost:host.Host.cost () in
       let b2a = Shm_chan.create host.Host.engine ~cost:host.Host.cost () in
-      Queue.push { tx = b2a; rx = a2b; partial = None } l.backlog;
+      Queue.push { tx = b2a; rx = a2b; cursor = Core.cursor () } l.backlog;
       Waitq.signal l.l_wq;
-      { tx = a2b; rx = b2a; partial = None }
+      { tx = a2b; rx = b2a; cursor = Core.cursor () }
 
   let rec accept host l =
     match Queue.take_opt l.backlog with
@@ -152,25 +144,15 @@ end = struct
       send host c buf ~off ~len
 
   let rec recv host c buf ~off ~len =
-    match c.partial with
-    | Some (b, consumed) ->
-      let avail = Bytes.length b - consumed in
-      let take = min len avail in
-      Bytes.blit b consumed buf off take;
-      c.partial <- (if take = avail then None else Some (b, consumed + take));
-      take
-    | None -> (
+    if Core.pending c.cursor then Core.take c.cursor buf ~off ~len
+    else
       match Shm_chan.try_recv c.rx with
       | Some msg ->
         let b = Msg.to_bytes msg in
-        let plen = Bytes.length b in
-        let take = min len plen in
-        Bytes.blit b 0 buf off take;
-        if take < plen then c.partial <- Some (b, take);
-        take
+        Core.land_bytes c.cursor b ~pos:0 ~stop:(Bytes.length b) buf ~off ~len
       | None ->
         (match Waitq.wait (Shm_chan.rx_waitq c.rx) with _ -> ());
-        recv host c buf ~off ~len)
+        recv host c buf ~off ~len
 
   let close _ _ = ()
 end

@@ -4,10 +4,10 @@
    [Rt_monitor] listener and sit in accept loops, plus client domains that
    connect, stream [msgs_per_conn] messages of [payload] bytes per
    connection, and close.  Small payloads go through [Rt_sock.send_burst]
-   (token-held, [Batch_ctl]-bounded vectored sends); payloads at or above
-   the zero-copy crossover go through the descriptor path.  Workers drain
-   each connection to EOF (optionally echoing) and release their tokens —
-   the cooperative-hold contract.
+   (token-held, [Batch_ctl]-bounded vectored sends), larger ones through
+   [Rt_sock.send] and its copy policy.  Workers drain each connection to
+   EOF (optionally echoing) and release their tokens — the cooperative-hold
+   contract.
 
    Returns per-worker accept/steal/byte distributions plus wall time, so
    callers (bench rows, the sim-equivalence test) can check §4.5.2
@@ -27,15 +27,9 @@ type stats = {
 let total_served s = Array.fold_left ( + ) 0 s.served
 let total_stolen s = Array.fold_left ( + ) 0 s.stolen
 
-(* Receive buffer sized for a whole record: an inline record, or one
-   descriptor record's payload when the stream uses the zero-copy path. *)
-let recv_buf_size payload =
-  let desc_max = Rt_sock.max_desc_per_record * Sds_vm.Pagepool.page_size in
-  max Rt_sock.max_inline (min (max payload Rt_sock.max_inline) desc_max)
-
 let worker_loop mon ~index ~echo ~payload ~bytes =
   let w = Rt_monitor.register mon ~index in
-  let buf = Bytes.create (recv_buf_size payload) in
+  let buf = Bytes.create (max payload Rt_sock.max_inline) in
   let dom = Rt_dom.self () in
   let rec serve () =
     match Rt_monitor.accept mon ~index with
@@ -60,7 +54,7 @@ let client_conn mon ~dom ~payload ~msgs ~burst ~echo buf entries =
   let sock = Rt_monitor.connect mon ~dom in
   if echo then begin
     (* Ping-pong: one message in flight keeps the echo ring bounded. *)
-    let rbuf = Bytes.create (recv_buf_size payload) in
+    let rbuf = Bytes.create (max payload Rt_sock.max_inline) in
     for _ = 1 to msgs do
       Rt_sock.send sock ~dom buf ~off:0 ~len:payload;
       let got = ref 0 in
@@ -76,7 +70,7 @@ let client_conn mon ~dom ~payload ~msgs ~burst ~echo buf entries =
       ()
     done
   end
-  else if payload < Rt_sock.zc_threshold && burst > 1 then begin
+  else if payload < Sds_proto.Copy_policy.base_threshold && burst > 1 then begin
     let sent = ref 0 in
     while !sent < msgs do
       let n = min burst (msgs - !sent) in

@@ -3,14 +3,12 @@
 
    One connection = two SPSC rings (one per direction) + one staging
    [Pagepool] per direction for the §4.6 descriptor path + four
-   [Rt_token]s (a send and a recv token per endpoint).  Small payloads
-   travel inline in ring records; payloads >= [zc_threshold] are staged
-   into pool pages and cross the ring as page-descriptor records — an
-   ownership handoff, no payload byte through the ring.
-
-   Records are stream chunks.  A zero-length record flagged [flag_fin]
-   carries EOF.  The receiver returns the ring's batched credits and, on
-   descriptor records, releases the pages after landing the payload.
+   [Rt_token]s (a send and a recv token per endpoint).  The stream rules
+   are [Sds_proto.Stream_core]'s, shared with the simulator's [Libsd]:
+   each endpoint's [Copy_policy] picks inline ring records or
+   page-descriptor records, and what [recv]'s [len] cannot hold stays in
+   the endpoint's cursor.  A zero-length record flagged [flag_fin]
+   carries EOF.
 
    Every endpoint pair registers in a process-wide registry: the
    [rt_conn] flight-recorder section shows owners, ring occupancy and byte
@@ -31,19 +29,15 @@ module R = Sds_ring.Spsc_ring
 module Pp = Sds_vm.Pagepool
 module Waiter = Sds_notify.Waiter
 module Batch_ctl = Sds_proto.Batch_ctl
+module Copy_policy = Sds_proto.Copy_policy
+module Core = Sds_proto.Stream_core
 module Obs = Sds_obs.Obs
 
 exception Peer_dead
 
 let flag_fin = 0x200
-let max_inline = 8 * 1024
-
-(* §4.6 copy/zero-copy crossover, same resting point as [Copy_policy]. *)
-let zc_threshold = 16 * 1024
-
-(* Pages per descriptor record: bounds one record at 32 KiB of payload, so
-   receive buffers stay small; larger sends split into several records. *)
-let max_desc_per_record = 8
+let max_inline = Core.max_inline
+let max_desc_per_record = Core.max_desc_per_record
 
 let m_sends = Obs.Metrics.counter "rt.sends"
 let m_recvs = Obs.Metrics.counter "rt.recvs"
@@ -59,9 +53,9 @@ type t = {
   send_tok : Rt_token.t;
   recv_tok : Rt_token.t;
   batch : Batch_ctl.t;
-  stage : int array;  (** send-side descriptor staging, token-guarded *)
-  pages : int array;  (** page ids being staged, token-guarded *)
-  descs : int array;  (** recv-side descriptor scratch, token-guarded *)
+  policy : Copy_policy.t;  (** selective-copy state, guarded by [send_tok] *)
+  mutable stage : int array;  (** descriptor staging, [send_tok]; empty until first used *)
+  cursor : Core.cursor;  (** partly read record, guarded by [recv_tok] *)
   mutable bytes_sent : int;  (** guarded by [send_tok] *)
   mutable bytes_received : int;  (** guarded by [recv_tok] *)
   mutable fin_rx : bool;  (** guarded by [recv_tok] *)
@@ -115,10 +109,7 @@ let () = Sds_obs.Flight.register_state "rt_conn" render_conns
 
 (* ---- construction ---- *)
 
-let endpoint ~ring_size ~pool_pages ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring ~rx_pool
-    ~dead =
-  ignore ring_size;
-  ignore pool_pages;
+let endpoint ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring ~rx_pool ~dead =
   incr cid_counter;
   let t =
     {
@@ -127,9 +118,9 @@ let endpoint ~ring_size ~pool_pages ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring
       send_tok = Rt_token.create ~name:"send" ~holder:owner ();
       recv_tok = Rt_token.create ~name:"recv" ~holder:owner ();
       batch = Batch_ctl.create ();
-      stage = Array.make max_desc_per_record 0;
-      pages = Array.make max_desc_per_record 0;
-      descs = Array.make max_desc_per_record 0;
+      policy = Copy_policy.create ();
+      stage = [||];
+      cursor = Core.cursor ();
       bytes_sent = 0;
       bytes_received = 0;
       fin_rx = false;
@@ -154,12 +145,12 @@ let pair ?(ring_size = 64 * 1024) ?(pool_pages = 512) ~a_owner ~b_owner () =
   let pool_ba = Pp.create ~pages:pool_pages () in
   let dead = Atomic.make false in
   let a =
-    endpoint ~ring_size ~pool_pages ~owner:a_owner ~peer_slot:b_owner ~tx_ring:ab
-      ~tx_pool:pool_ab ~rx_ring:ba ~rx_pool:pool_ba ~dead
+    endpoint ~owner:a_owner ~peer_slot:b_owner ~tx_ring:ab ~tx_pool:pool_ab ~rx_ring:ba
+      ~rx_pool:pool_ba ~dead
   in
   let b =
-    endpoint ~ring_size ~pool_pages ~owner:b_owner ~peer_slot:a_owner ~tx_ring:ba
-      ~tx_pool:pool_ba ~rx_ring:ab ~rx_pool:pool_ab ~dead
+    endpoint ~owner:b_owner ~peer_slot:a_owner ~tx_ring:ba ~tx_pool:pool_ba ~rx_ring:ab
+      ~rx_pool:pool_ab ~dead
   in
   a.peer <- Some b;
   b.peer <- Some a;
@@ -222,79 +213,49 @@ let[@inline] return_pending ring =
   let c = R.take_credit_return ring in
   if c > 0 then R.return_credits ring c
 
-(* Stage [len] bytes from [buf] into pool pages and enqueue them as one
-   descriptor record.  False when the pool is exhausted (caller falls back
-   to the inline-copy path — the Libra fallback).  Pages are stamped with
-   the sending slot so [reclaim_owner] can find them if we die between
-   allocation and the receiver's adoption. *)
-let send_desc_record t ~dom buf ~off ~len =
-  let h = Pp.domain_handle t.tx.pool in
-  Pp.set_owner h dom;
-  let npages = (len + Pp.page_size - 1) / Pp.page_size in
-  let got = ref 0 in
-  let ok = ref true in
-  while !ok && !got < npages do
-    let p = Pp.alloc h in
-    if p = Pp.no_page then ok := false
-    else begin
-      t.pages.(!got) <- p;
-      incr got
-    end
-  done;
-  if not !ok then begin
-    for i = 0 to !got - 1 do
-      Pp.release h t.pages.(i)
-    done;
-    Obs.Metrics.incr m_pool_fallbacks;
-    false
-  end
-  else begin
-    for i = 0 to npages - 1 do
-      let chunk_off = i * Pp.page_size in
-      let chunk = min Pp.page_size (len - chunk_off) in
-      Pp.blit_from_bytes t.tx.pool ~src:buf ~src_off:(off + chunk_off) ~page:t.pages.(i)
-        ~off:0 ~len:chunk;
-      t.stage.(i) <- R.desc_entry ~page:t.pages.(i) ~off:0 ~len:chunk
-    done;
-    (* Chaos site: die holding filled, unpublished pages — only
-       [reclaim_owner] can get them back. *)
-    if Sds_fault.armed () then Sds_fault.inject "rt_sock.holding_pages";
-    while not (R.try_enqueue_descs t.tx.ring t.stage ~n:npages) do
-      wait_tx_p t ~len:(8 * npages)
-    done;
-    Obs.Metrics.incr m_desc_sends;
-    true
-  end
-
+(* One stream send through the shared record plan.  Descriptor pages are
+   stamped with the sending slot so [reclaim_owner] can find them if we
+   die between allocation and the receiver's adoption. *)
 let send_locked t ~dom buf ~off ~len =
   if t.fin_tx then invalid_arg "Rt_sock.send: after close";
   check_poison t;
-  let pos = ref off in
-  let remaining = ref len in
-  while !remaining > 0 do
-    let sent =
-      if !remaining >= zc_threshold then begin
-        let chunk = min !remaining (max_desc_per_record * Pp.page_size) in
-        if send_desc_record t ~dom buf ~off:!pos ~len:chunk then chunk else 0
-      end
-      else 0
-    in
-    let sent =
-      if sent > 0 then sent
-      else begin
-        (* Inline copy path (small payload, or pool exhausted). *)
-        let chunk = min !remaining max_inline in
-        while not (R.try_enqueue t.tx.ring buf ~off:!pos ~len:chunk) do
-          wait_tx_p t ~len:chunk
-        done;
-        chunk
-      end
-    in
-    pos := !pos + sent;
-    remaining := !remaining - sent;
-    (* Chaos site: die between the records of one streamed payload. *)
-    if !remaining > 0 && Sds_fault.armed () then Sds_fault.inject "rt_sock.mid_publish"
-  done;
+  let stop = off + len in
+  (* Chaos site: die between the records of one streamed payload. *)
+  let published ~off ~len =
+    if off + len < stop && Sds_fault.armed () then Sds_fault.inject "rt_sock.mid_publish"
+  in
+  let desc ~off ~len =
+    let h = Pp.domain_handle t.tx.pool in
+    Pp.set_owner h dom;
+    if Array.length t.stage = 0 then t.stage <- Array.make max_desc_per_record 0;
+    Core.stage t.tx.pool h buf ~off ~len t.stage
+    && begin
+         (* Chaos site: die holding filled, unpublished pages — only
+            [reclaim_owner] can get them back. *)
+         if Sds_fault.armed () then Sds_fault.inject "rt_sock.holding_pages";
+         let n = Core.pages_for len in
+         while not (R.try_enqueue_descs t.tx.ring t.stage ~n) do
+           wait_tx_p t ~len:(8 * n)
+         done;
+         Obs.Metrics.incr m_desc_sends;
+         published ~off ~len;
+         true
+       end
+  in
+  let inline ~off ~len =
+    while not (R.try_enqueue t.tx.ring buf ~off ~len) do
+      wait_tx_p t ~len
+    done;
+    published ~off ~len
+  in
+  (* The decision reads no pool occupancy: this pool belongs to one
+     direction of one connection, so its fill is how far the sender runs
+     ahead of the receiver, not memory pressure.  Backing off on it would
+     flip a receiver-bound stream between copying and zero-copy with the
+     receiver's scheduling; exhaustion already falls back per record. *)
+  (match Core.send t.policy ~pool:None ~off ~len ~desc ~inline with
+  | Core.Fell_back -> Obs.Metrics.incr m_pool_fallbacks
+  | Core.Copied | Core.Zero_copy -> ());
   t.bytes_sent <- t.bytes_sent + len;
   Obs.Metrics.incr m_sends
 
@@ -339,76 +300,72 @@ let send_burst t ~dom srcs ~n =
 
 (* ---- recv ---- *)
 
-(* Receive the next stream chunk into [dst]; 0 on EOF.  [dst] must hold a
-   whole record: >= [max_inline] for inline records, >= the payload of one
-   descriptor record (<= [max_desc_per_record] pages) on connections
-   carrying zero-copy traffic. *)
-let recv_locked t ~dom dst ~off =
+(* This domain's landing for descriptor pages: adopt for [dom], release
+   through its handle on the rx pool. *)
+let landing t ~dom =
+  let h = Pp.domain_handle t.rx.pool in
+  Pp.set_owner h dom;
+  Core.Owned { h; owner = dom }
+
+(* Dequeue the next record and land at most [len] bytes of it; whatever
+   does not fit stays in the cursor.  0 on EOF. *)
+let next_record t ~dom dst ~off ~len =
+  let ring = t.rx.ring in
+  let rec go () =
+    let p = R.peek_packed ring in
+    if p = R.no_msg then begin
+      wait_rx_p t;
+      go ()
+    end
+    else if R.is_desc_packed p then begin
+      let entries = Core.entries t.cursor in
+      let q = R.try_dequeue_descs ring ~entries in
+      if q = R.no_msg then go ()
+      else begin
+        return_pending ring;
+        let n =
+          Core.land_desc t.cursor (landing t ~dom) t.rx.pool entries
+            ~count:(R.desc_count_packed q) dst ~off ~len
+        in
+        if n = Core.lost then begin
+          poison t;
+          raise Peer_dead
+        end;
+        n
+      end
+    end
+    else begin
+      (* Inline (or FIN) record: straight into [dst] when it fits, else
+         through the cursor's scratch buffer. *)
+      let fits = R.packed_len p <= len in
+      let buf = if fits then dst else Core.scratch t.cursor (R.packed_len p) in
+      let q = R.try_dequeue_packed ring ~dst:buf ~dst_off:(if fits then off else 0) in
+      if q = R.no_msg then go ()
+      else begin
+        return_pending ring;
+        if R.packed_flags q land flag_fin <> 0 then begin
+          t.fin_rx <- true;
+          0
+        end
+        else if fits then R.packed_len q
+        else Core.land_bytes t.cursor buf ~pos:0 ~stop:(R.packed_len q) dst ~off ~len
+      end
+    end
+  in
+  go ()
+
+let recv_locked t ~dom dst ~off ~len =
   if t.fin_rx then 0
   else begin
-    check_poison t;
-    let ring = t.rx.ring in
-    let rec go () =
-      let p = R.peek_packed ring in
-      if p = R.no_msg then begin
-        wait_rx_p t;
-        go ()
-      end
-      else if R.is_desc_packed p then begin
-        let q = R.try_dequeue_descs ring ~entries:t.descs in
-        if q = R.no_msg then go ()
-        else begin
-          let cnt = R.desc_count_packed q in
-          let h = Pp.domain_handle t.rx.pool in
-          Pp.set_owner h dom;
-          (* Adopt every page of the record before touching any payload:
-             once adopted, a crash of the sender cannot reclaim it out
-             from under us.  Adoption failing means the reclaimer already
-             won — the payload is gone with its owner. *)
-          let adopted = ref 0 in
-          while
-            !adopted < cnt
-            && Pp.try_adopt t.rx.pool ~page:(R.desc_page t.descs.(!adopted)) ~owner:dom
-          do
-            incr adopted
-          done;
-          if !adopted < cnt then begin
-            for i = 0 to !adopted - 1 do
-              Pp.release h (R.desc_page t.descs.(i))
-            done;
-            return_pending ring;
-            poison t;
-            raise Peer_dead
-          end;
-          let pos = ref off in
-          for i = 0 to cnt - 1 do
-            let e = t.descs.(i) in
-            let elen = R.desc_len e in
-            Pp.blit_to_bytes t.rx.pool ~page:(R.desc_page e) ~off:(R.desc_off e) ~dst
-              ~dst_off:!pos ~len:elen;
-            pos := !pos + elen;
-            Pp.release h (R.desc_page e)
-          done;
-          return_pending ring;
-          !pos - off
-        end
-      end
-      else if R.packed_flags p land flag_fin <> 0 then begin
-        ignore (R.try_dequeue_packed ring ~dst ~dst_off:off);
-        t.fin_rx <- true;
-        return_pending ring;
-        0
-      end
-      else begin
-        let q = R.try_dequeue_packed ring ~dst ~dst_off:off in
-        if q = R.no_msg then go ()
-        else begin
-          return_pending ring;
-          R.packed_len q
-        end
-      end
+    if Atomic.get t.dead then begin
+      (* Reset semantics: a partly read record is dropped with the rest. *)
+      if Core.pending t.cursor then Core.drop t.cursor;
+      raise Peer_dead
+    end;
+    let n =
+      if Core.pending t.cursor then Core.take t.cursor dst ~off ~len
+      else next_record t ~dom dst ~off ~len
     in
-    let n = go () in
     if n > 0 then begin
       t.bytes_received <- t.bytes_received + n;
       Obs.Metrics.incr m_recvs
@@ -419,7 +376,7 @@ let recv_locked t ~dom dst ~off =
 let recv t ~dom dst ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length dst then invalid_arg "Rt_sock.recv";
   t.op_slot <- dom;
-  Rt_token.with_held t.recv_tok ~dom (fun () -> recv_locked t ~dom dst ~off)
+  Rt_token.with_held t.recv_tok ~dom (fun () -> recv_locked t ~dom dst ~off ~len)
 
 (* ---- shutdown ---- *)
 

@@ -1,12 +1,13 @@
 (** Real-domain sockets: one connection = an SPSC ring pair + a staging
     {!Sds_vm.Pagepool} per direction + per-direction {!Rt_token}s.
 
-    Payloads below the §4.6 crossover travel inline in ring records;
-    larger ones are staged into pool pages and cross as page-descriptor
-    records.  Stream semantics: [send] may split into several records,
-    [recv] returns one record's payload per call, a zero-length
-    [flag_fin] record carries EOF.  Every pair registers in the [rt_conn]
-    flight-recorder section.
+    The stream rules are {!Sds_proto.Stream_core}'s, shared with the
+    simulator's [Libsd]: each endpoint's adaptive {!Sds_proto.Copy_policy}
+    sends a payload inline in ring records or stages it into pool pages
+    that cross as page-descriptor records.  [send] may split into several
+    records; [recv] returns at most one record's bytes per call, a
+    zero-length [flag_fin] record carries EOF.  Every pair registers in
+    the [rt_conn] flight-recorder section.
 
     Crash compatibility (§4.3): when a domain involved in a connection
     dies, the pair is poisoned — blocking operations on the surviving end
@@ -23,14 +24,10 @@ exception Peer_dead
     semantics). *)
 
 val max_inline : int
-(** Largest inline record payload (8 KiB); [recv] buffers must hold it. *)
-
-val zc_threshold : int
-(** Payload size at which sends switch to the descriptor path (16 KiB). *)
+(** Largest inline chunk of a [send] (8 KiB): {!Sds_proto.Stream_core.max_inline}. *)
 
 val max_desc_per_record : int
-(** Pages per descriptor record; bounds one record's payload at
-    [max_desc_per_record * Pagepool.page_size] bytes. *)
+(** Pages per descriptor record (256): {!Sds_proto.Stream_core.max_desc_per_record}. *)
 
 val flag_fin : int
 (** Record flag carrying EOF. *)
@@ -43,8 +40,10 @@ val pair :
 
 val send : t -> dom:int -> Bytes.t -> off:int -> len:int -> unit
 (** Stream [len] bytes as one token-held operation (blocking on ring
-    credits).  Chunks >= [zc_threshold] take the descriptor path, falling
-    back to inline copies when the pool is exhausted. *)
+    credits).  One copy decision per call, driven by the payload sizes
+    alone (the per-connection pool's fill is backlog, not memory
+    pressure): on the zero-copy side the payload goes as descriptor
+    records, falling back to inline copies when the pool is exhausted. *)
 
 val send_burst : t -> dom:int -> (Bytes.t * int * int) array -> n:int -> unit
 (** Vectored small-message send under one token hold; each ring batch is
@@ -52,9 +51,10 @@ val send_burst : t -> dom:int -> (Bytes.t * int * int) array -> n:int -> unit
     posted meanwhile is served at the operation boundary. *)
 
 val recv : t -> dom:int -> Bytes.t -> off:int -> len:int -> int
-(** Next stream chunk into [dst]; 0 at EOF.  The buffer must hold a whole
-    record ([max_inline], or one descriptor record's payload on
-    connections carrying zero-copy traffic). *)
+(** Next stream bytes into [[off, off+len)], at most one record's worth;
+    0 at EOF.  A record longer than [len] is returned over several calls;
+    the rest of a descriptor record is copied out of its pages at the
+    first call, so no page stays held between calls. *)
 
 val close : t -> dom:int -> unit
 (** Enqueue EOF, then release both of this endpoint's tokens (the

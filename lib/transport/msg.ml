@@ -64,18 +64,4 @@ let ring_len t =
 let to_bytes t =
   match t.payload with
   | Inline b -> b
-  | Pool { pool; entries; len } ->
-    (* Copy-out of the sender's pool (the receiver's partial-read fallback);
-       does not release the pages — the owner does that explicitly. *)
-    let b = Bytes.create len in
-    let dst_off = ref 0 in
-    Array.iter
-      (fun e ->
-        let n = Sds_ring.Spsc_ring.desc_len e in
-        Sds_vm.Pagepool.blit_to_bytes pool
-          ~page:(Sds_ring.Spsc_ring.desc_page e)
-          ~off:(Sds_ring.Spsc_ring.desc_off e)
-          ~dst:b ~dst_off:!dst_off ~len:n;
-        dst_off := !dst_off + n)
-      entries;
-    b
+  | Pool _ -> invalid_arg "Msg.to_bytes: pool payload"

@@ -40,4 +40,5 @@ val ring_len : t -> int
     contribute only their 8-byte descriptors. *)
 
 val to_bytes : t -> Bytes.t
-(** Materialize the payload (gathers the pages of a pool payload). *)
+(** The inline payload; [Invalid_argument] on a pool payload, which is
+    landed through [Sds_proto.Stream_core], never materialised. *)

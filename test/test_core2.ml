@@ -358,7 +358,7 @@ let test_fork_secret_rejects_impostor () =
 (* ---- §4.6 + Libra: selective copying over per-process page pools ---- *)
 
 module Obs = Sds_obs.Obs
-module Copy_policy = Socksdirect.Copy_policy
+module Copy_policy = Sds_proto.Copy_policy
 
 (* Echo roundtrip of [size] bytes under [config], intra-host (SHM) or
    inter-host (RDMA); [prepare] runs on each process right after init.
@@ -422,6 +422,45 @@ let test_copy_policy_4k_stays_copy () =
   done;
   Alcotest.(check int) "threshold stays at the base" Copy_policy.base_threshold
     (Copy_policy.threshold p)
+
+let test_copy_policy_small_skips_pressure () =
+  (* A payload under one page always copies, so a full pool must not move
+     the threshold on its account. *)
+  let module Pp = Sds_vm.Pagepool in
+  let pool = Pp.create ~pages:16 () in
+  let h = Pp.handle pool in
+  let held = List.init 13 (fun _ -> Pp.alloc h) in
+  Alcotest.(check bool) "pool above high water" true (Pp.occupancy pool > Copy_policy.high_water);
+  let p = Copy_policy.create ~mode:Copy_policy.Adaptive () in
+  for i = 1 to 512 do
+    if Copy_policy.decide p ~pool:(Some pool) ~len:64 then
+      Alcotest.failf "decision %d remapped a 64 B send" i
+  done;
+  Alcotest.(check int) "threshold stays at the base" Copy_policy.base_threshold
+    (Copy_policy.threshold p);
+  List.iter (Pp.release h) held
+
+let test_copy_policy_relaxes_after_pressure () =
+  (* Pool pressure doubles the threshold above the 16 KiB base; once a
+     whole adapt period passes without pressure it must come back down,
+     or a 16 KiB stream would copy for the rest of the connection. *)
+  let module Pp = Sds_vm.Pagepool in
+  let pool = Pp.create ~pages:16 () in
+  let h = Pp.handle pool in
+  let held = List.init 13 (fun _ -> Pp.alloc h) in
+  let p = Copy_policy.create ~mode:Copy_policy.Adaptive () in
+  ignore (Copy_policy.decide p ~pool:(Some pool) ~len:16384);
+  ignore (Copy_policy.decide p ~pool:(Some pool) ~len:16384);
+  Alcotest.(check bool) "pressure raised the threshold" true
+    (Copy_policy.threshold p > Copy_policy.base_threshold);
+  List.iter (Pp.release h) held;
+  for _ = 1 to 4 * 256 do
+    ignore (Copy_policy.decide p ~pool:(Some pool) ~len:16384)
+  done;
+  Alcotest.(check bool) "threshold back at or below the base" true
+    (Copy_policy.threshold p <= Copy_policy.base_threshold);
+  Alcotest.(check bool) "16 KiB sends remap again" true
+    (Copy_policy.decide p ~pool:(Some pool) ~len:16384)
 
 let test_pool_exhaustion_falls_back_to_copy ~intra () =
   (* Hoard every page of each process's own pool: descriptor sends must
@@ -493,4 +532,8 @@ let suite =
       (test_copy_policy_adaptive_large ~intra:false);
     Alcotest.test_case "rdma pool exhaustion falls back to copy" `Quick
       (test_pool_exhaustion_falls_back_to_copy ~intra:false);
+    Alcotest.test_case "copy policy: small payloads skip the pressure read" `Quick
+      test_copy_policy_small_skips_pressure;
+    Alcotest.test_case "copy policy: the threshold relaxes once pressure ends" `Quick
+      test_copy_policy_relaxes_after_pressure;
   ]

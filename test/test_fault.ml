@@ -82,7 +82,7 @@ let soak_mid_publish ~seed () =
   F.arm (F.plan ~seed [ F.Crash_mid_publish ]);
   Fun.protect ~finally:F.disarm (fun () ->
       let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:(-1) () in
-      let payload = Rt_sock.max_inline + 1024 (* two records, < zc_threshold *) in
+      let payload = Rt_sock.max_inline + 1024 (* two records, below the copy threshold *) in
       let sender =
         Rt_dom.spawn (fun () ->
             let dom = Rt_dom.self () in
@@ -114,7 +114,7 @@ let soak_holding_pages ~seed () =
   F.arm (F.plan ~seed [ F.Crash_holding_pages ]);
   Fun.protect ~finally:F.disarm (fun () ->
       let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:(-1) () in
-      let payload = Rt_sock.zc_threshold (* descriptor path: staged pages *) in
+      let payload = Sds_proto.Copy_policy.base_threshold (* descriptor path: staged pages *) in
       let sender =
         Rt_dom.spawn (fun () ->
             let dom = Rt_dom.self () in
@@ -259,6 +259,69 @@ let soak_fork_storm ~seed () =
         (Atomic.get served);
       Alcotest.(check bool) "the orphaned connection was poisoned" true
         (counter "rt.poisoned" > poisoned0))
+
+(* The sender dies holding the staged pages of a 16 KiB descriptor record
+   before the receiver's first read.  The survivor, reading through a
+   4 KiB buffer, gets [Peer_dead], and no page stays in use: the dead
+   incarnation's pages are reclaimed and the receiver's cursor holds none
+   that could not be. *)
+let test_short_read_sender_crash () =
+  let pages_in_use () =
+    Option.value ~default:0
+      (List.assoc_opt "pool.pages_in_use" (Obs.Metrics.snapshot ()).Obs.Metrics.gauges)
+  in
+  let in_use0 = pages_in_use () in
+  F.arm (F.plan ~max_skip:1 ~seed:1 [ F.Crash_holding_pages ]);
+  Fun.protect ~finally:F.disarm (fun () ->
+      let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:(-1) () in
+      let size = Sds_proto.Copy_policy.base_threshold in
+      let sender =
+        Rt_dom.spawn (fun () ->
+            Rt_sock.send a ~dom:(Rt_dom.self ()) (Bytes.make size 's') ~off:0 ~len:size)
+      in
+      join_quiet sender;
+      Alcotest.(check bool) "the planned crash fired" true (fired_kind F.Crash_holding_pages);
+      let dom = Rt_dom.self () in
+      let dst = Bytes.create 4096 in
+      Alcotest.check_raises "survivor sees the reset" Rt_sock.Peer_dead (fun () ->
+          ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
+      Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ());
+      Rt_sock.release_tokens b ~dom)
+
+(* A receiving domain short-reads a 16 KiB descriptor record and dies
+   holding the rest of it.  The next domain to receive on that endpoint
+   gets [Peer_dead] (not a double release or a use-after-release of pages
+   the reaper reclaimed), and no page stays in use. *)
+let test_short_read_reader_crash () =
+  let pages_in_use () =
+    Option.value ~default:0
+      (List.assoc_opt "pool.pages_in_use" (Obs.Metrics.snapshot ()).Obs.Metrics.gauges)
+  in
+  let in_use0 = pages_in_use () in
+  let desc0 = counter "rt.desc_sends" in
+  let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:(-1) () in
+  let dom = Rt_dom.self () in
+  let size = 16384 in
+  let src = Bytes.init size (fun i -> Char.chr (i land 0xff)) in
+  Rt_sock.send a ~dom src ~off:0 ~len:size;
+  Alcotest.(check int) "one descriptor record" (desc0 + 1) (counter "rt.desc_sends");
+  let reader =
+    Rt_dom.spawn (fun () ->
+        let dst = Bytes.create 4096 in
+        let n = Rt_sock.recv b ~dom:(Rt_dom.self ()) dst ~off:0 ~len:4096 in
+        if n <> 4096 || Bytes.sub dst 0 n <> Bytes.sub src 0 n then failwith "bad short read";
+        failwith "reader dies mid-record")
+  in
+  (match Domain.join reader with
+  | () -> Alcotest.fail "the reader should have died"
+  | exception Failure m ->
+    Alcotest.(check string) "died after a good short read" "reader dies mid-record" m);
+  let dst = Bytes.create 4096 in
+  Alcotest.check_raises "survivor sees the reset" Rt_sock.Peer_dead (fun () ->
+      ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
+  Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ());
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom
 
 let soak ~seed () =
   soak_before_grant ~seed ();
@@ -528,4 +591,8 @@ let suite =
     Alcotest.test_case "chaos: 5 kinds x seed 1" `Slow (soak ~seed:1);
     Alcotest.test_case "chaos: 5 kinds x seed 2" `Slow (soak ~seed:2);
     Alcotest.test_case "chaos: 5 kinds x seed 3" `Slow (soak ~seed:3);
+    Alcotest.test_case "sock: short read after a sender crash leaks nothing" `Quick
+      test_short_read_sender_crash;
+    Alcotest.test_case "sock: a reader crash mid-record leaks nothing" `Quick
+      test_short_read_reader_crash;
   ]

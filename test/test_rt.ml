@@ -264,7 +264,7 @@ let test_sock_inline_loopback () =
    the stream must reassemble exactly, across a real domain boundary. *)
 let test_sock_desc_path () =
   let dom = Rt_dom.self () in
-  let payload = Rt_sock.zc_threshold + 4097 in
+  let payload = Sds_proto.Copy_policy.base_threshold + 4097 in
   let msgs = 50 in
   let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:(-1) () in
   let receiver =
@@ -324,6 +324,90 @@ let test_sock_send_burst () =
   done;
   Alcotest.(check int) "burst bytes all received" (n * payload) (Rt_sock.bytes_received b)
 
+(* A record longer than [len] comes back over several calls: [recv] never
+   returns more than [len] nor writes outside [off, off+len). *)
+let test_sock_short_read_inline () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let src = Bytes.init 1000 (fun i -> Char.chr (i land 0xff)) in
+  Rt_sock.send a ~dom src ~off:0 ~len:1000;
+  let dst = Bytes.make 2000 '#' in
+  Alcotest.(check int) "first read capped at len" 100 (Rt_sock.recv b ~dom dst ~off:0 ~len:100);
+  Alcotest.(check string) "head intact" (Bytes.sub_string src 0 100) (Bytes.sub_string dst 0 100);
+  Alcotest.(check string) "nothing written past off+len" (String.make 1900 '#')
+    (Bytes.sub_string dst 100 1900);
+  Alcotest.(check int) "the rest of the record" 900 (Rt_sock.recv b ~dom dst ~off:100 ~len:1900);
+  Alcotest.(check string) "whole record intact" (Bytes.to_string src) (Bytes.sub_string dst 0 1000);
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "then EOF" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:1000)
+
+let pages_in_use () =
+  Option.value ~default:0 (List.assoc_opt "pool.pages_in_use" (Obs.Metrics.snapshot ()).gauges)
+
+(* A 16 KiB descriptor record read through a 4 KiB buffer: four full
+   reads, every page released as soon as it has landed. *)
+let test_sock_short_read_desc () =
+  let dom = Rt_dom.self () in
+  let in_use0 = pages_in_use () in
+  let desc0 = Obs.Metrics.counter_value "rt.desc_sends" in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let size = Sds_proto.Copy_policy.base_threshold in
+  let src = Bytes.init size (fun i -> Char.chr ((i * 31) land 0xff)) in
+  Rt_sock.send a ~dom src ~off:0 ~len:size;
+  Alcotest.(check int) "one descriptor record" 1
+    (Obs.Metrics.counter_value "rt.desc_sends" - desc0);
+  let dst = Bytes.create 4096 in
+  let got = Buffer.create size in
+  for i = 1 to 4 do
+    let n = Rt_sock.recv b ~dom dst ~off:0 ~len:4096 in
+    Alcotest.(check int) (Printf.sprintf "read %d is a full buffer" i) 4096 n;
+    if i = 1 then
+      Alcotest.(check int) "no page held between reads" in_use0 (pages_in_use ());
+    Buffer.add_subbytes got dst 0 n
+  done;
+  Alcotest.(check string) "bytes intact" (Bytes.to_string src) (Buffer.contents got);
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "then EOF" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:4096);
+  Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
+
+(* Poison with a descriptor record half landed: the next recv raises
+   [Peer_dead] and drops the rest of the record; no page stays in use. *)
+let test_sock_poison_drops_cursor () =
+  let dom = Rt_dom.self () in
+  let in_use0 = pages_in_use () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let size = Sds_proto.Copy_policy.base_threshold in
+  Rt_sock.send a ~dom (Bytes.make size 'p') ~off:0 ~len:size;
+  let dst = Bytes.create 4096 in
+  Alcotest.(check int) "first quarter" 4096 (Rt_sock.recv b ~dom dst ~off:0 ~len:4096);
+  Rt_sock.poison a;
+  Alcotest.check_raises "reset" Rt_sock.Peer_dead (fun () ->
+      ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
+  Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
+
+(* A receiver that lags fills the connection's pool past the policy's
+   high water; that is backlog, not memory pressure, so every 16 KiB send
+   still goes by descriptor (4 pages each) and the stream is intact. *)
+let test_sock_backlog_stays_zero_copy () =
+  let dom = Rt_dom.self () in
+  let in_use0 = pages_in_use () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let size = Sds_proto.Copy_policy.base_threshold in
+  let sends = 99 (* 396 of 512 pages: past the 75% high water *) in
+  for i = 1 to sends do
+    Rt_sock.send a ~dom (Bytes.make size (Char.chr (i land 0x7F))) ~off:0 ~len:size
+  done;
+  Alcotest.(check int) "every send staged its pages" (in_use0 + (4 * sends)) (pages_in_use ());
+  let dst = Bytes.create size in
+  for i = 1 to sends do
+    Alcotest.(check int) "one record per send" size (Rt_sock.recv b ~dom dst ~off:0 ~len:size);
+    Alcotest.(check bool) "payload intact" true
+      (Bytes.for_all (fun c -> c = Char.chr (i land 0x7F)) dst)
+  done;
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "then EOF" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:size);
+  Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
+
 (* ---- Rt_monitor / Rt_prefork ---- *)
 
 let test_prefork_echo () =
@@ -346,7 +430,7 @@ let test_prefork_invariants () =
 (* Descriptor-path traffic through the full prefork stack. *)
 let test_prefork_zero_copy () =
   let workers = 2 and conns = 2 and msgs = 40 in
-  let payload = Rt_sock.zc_threshold in
+  let payload = Sds_proto.Copy_policy.base_threshold in
   let s = Rt_prefork.run ~workers ~conns ~msgs_per_conn:msgs ~payload () in
   Alcotest.(check int) "16KiB payloads all arrive" (conns * msgs * payload)
     s.Rt_prefork.total_bytes
@@ -489,6 +573,112 @@ let test_sim_rt_equivalence () =
   Alcotest.(check int) "sim dispatched through Dispatch_core" conns (rr1 - rr0);
   Alcotest.(check int) "rt dispatched through Dispatch_core" conns (rr2 - rr1)
 
+(* ---- differential: one stream script through both backends ----
+
+   A seeded script of sends whose sizes straddle the 8 KiB inline chunk,
+   the 16 KiB copy threshold and the 256-page record, read back through
+   seeded short buffers, runs through the simulator's [Libsd] and through
+   [Rt_sock].  Each send is drained before the next, so neither the ring
+   nor the pool fills.  Both stacks must deliver the same bytes with the
+   same sequence of [recv] return values — so they cut records in the
+   same places — and reach EOF at the same point. *)
+
+let diff_sizes = [ 0; 1; 8191; 8192; 8193; 16383; 16384; 16385; 40960; (1 lsl 20) + 1 ]
+let diff_lens = [| 1; 100; 4096; 8192; 64 * 1024 |]
+
+let diff_payloads seed =
+  let st = Random.State.make [| seed |] in
+  List.map (fun n -> (Random.State.bits st, n)) diff_sizes
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (_, n) -> Bytes.init n (fun i -> Char.chr ((i * 7 + n + seed) land 0xff)))
+
+(* Read one [size]-byte payload back through buffers of seeded lengths,
+   logging every return value and the bytes delivered. *)
+let drain_payload st ~recv dst size trace out =
+  let got = ref 0 in
+  while !got < size do
+    let n = recv dst ~len:diff_lens.(Random.State.int st (Array.length diff_lens)) in
+    if n = 0 then Alcotest.failf "EOF %d bytes into a %d-byte payload" !got size;
+    trace := n :: !trace;
+    Buffer.add_subbytes out dst 0 n;
+    got := !got + n
+  done
+
+type diff_run = { returns : int list; delivered : string; eof : int }
+
+let diff_dst () = Bytes.create (Array.fold_left max 0 diff_lens)
+
+let diff_rt seed =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let st = Random.State.make [| seed; 1 |] in
+  let trace = ref [] and out = Buffer.create 0 and dst = diff_dst () in
+  let recv dst ~len = Rt_sock.recv b ~dom dst ~off:0 ~len in
+  List.iter
+    (fun p ->
+      Rt_sock.send a ~dom p ~off:0 ~len:(Bytes.length p);
+      drain_payload st ~recv dst (Bytes.length p) trace out)
+    (diff_payloads seed);
+  Rt_sock.close a ~dom;
+  { returns = List.rev !trace; delivered = Buffer.contents out; eof = recv dst ~len:4096 }
+
+let diff_sim seed =
+  let module L = Socksdirect.Libsd in
+  let w = Helpers.make_world () in
+  let h = Helpers.add_host w in
+  let payloads = diff_payloads seed in
+  let ready = ref false and drained = ref 0 and eof = ref (-1) in
+  let trace = ref [] and out = Buffer.create 0 in
+  ignore
+    (Helpers.spawn w "diff-receiver" (fun () ->
+         let th = L.create_thread (L.init h) ~core:1 () in
+         let lfd = L.socket th in
+         L.bind th lfd ~port:9400;
+         L.listen th lfd;
+         ready := true;
+         let fd = L.accept th lfd in
+         let st = Random.State.make [| seed; 1 |] and dst = diff_dst () in
+         let recv dst ~len = L.recv th fd dst ~off:0 ~len in
+         List.iter
+           (fun p ->
+             drain_payload st ~recv dst (Bytes.length p) trace out;
+             incr drained)
+           payloads;
+         eof := recv dst ~len:4096));
+  Helpers.run w (fun () ->
+      Helpers.wait_for ready;
+      let th = L.create_thread (L.init h) ~core:0 () in
+      let fd = L.socket th in
+      L.connect th fd ~dst:h ~port:9400;
+      List.iteri
+        (fun i p ->
+          while !drained < i do
+            Sds_sim.Proc.sleep_ns 1_000
+          done;
+          ignore (L.send th fd p ~off:0 ~len:(Bytes.length p)))
+        payloads;
+      while !drained < List.length payloads do
+        Sds_sim.Proc.sleep_ns 1_000
+      done;
+      L.close th fd;
+      while !eof < 0 do
+        Sds_sim.Proc.sleep_ns 1_000
+      done);
+  { returns = List.rev !trace; delivered = Buffer.contents out; eof = !eof }
+
+let test_differential_stream () =
+  List.iter
+    (fun seed ->
+      let sent = String.concat "" (List.map Bytes.to_string (diff_payloads seed)) in
+      let sim = diff_sim seed and rt = diff_rt seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check bool) (name "sim delivers the stream") true (String.equal sent sim.delivered);
+      Alcotest.(check bool) (name "rt delivers the stream") true (String.equal sent rt.delivered);
+      Alcotest.(check (list int)) (name "same recv return values") sim.returns rt.returns;
+      Alcotest.(check int) (name "sim EOF after the stream") 0 sim.eof;
+      Alcotest.(check int) (name "rt EOF after the stream") 0 rt.eof)
+    [ 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "proto: token transitions" `Quick test_token_proto;
@@ -509,4 +699,13 @@ let suite =
     Alcotest.test_case "flight: rt state providers" `Quick test_flight_providers;
     Alcotest.test_case "equivalence: sim and rt share the protocol core" `Quick
       test_sim_rt_equivalence;
+    Alcotest.test_case "differential: sim and rt cut the same stream" `Quick
+      test_differential_stream;
+    Alcotest.test_case "sock: short read of an inline record" `Quick test_sock_short_read_inline;
+    Alcotest.test_case "sock: short reads of a descriptor record" `Quick
+      test_sock_short_read_desc;
+    Alcotest.test_case "sock: poison drops a partly read record" `Quick
+      test_sock_poison_drops_cursor;
+    Alcotest.test_case "sock: a backlogged pool stays zero-copy" `Quick
+      test_sock_backlog_stays_zero_copy;
   ]

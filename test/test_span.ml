@@ -8,7 +8,7 @@ module Obs = Sds_obs.Obs
 module Span = Sds_obs.Span
 module Flight = Sds_obs.Flight
 module R = Sds_ring.Spsc_ring
-module Cp = Socksdirect.Copy_policy
+module Cp = Sds_proto.Copy_policy
 module Common = Sds_experiments.Common
 
 let contains s sub =
@@ -187,8 +187,9 @@ let test_copy_policy_visibility () =
     | Some v -> v
     | None -> -1
   in
-  Alcotest.(check int) "gauge seeded with the base threshold" (Cp.threshold p)
-    (gauge "copy_policy.threshold");
+  (* Only a move publishes: creating a policy leaves every shard alone, so
+     the gauge cannot depend on which domains made sockets before. *)
+  Alcotest.(check int) "no gauge before the first move" 0 (gauge "copy_policy.threshold");
   (* 256 observations of threshold-sized payloads: the periodic adapt sees
      all recent bytes at >= threshold/2 and halves the crossover. *)
   for _ = 1 to 256 do

@@ -26,9 +26,13 @@ let test_msg_pool () =
   let m = Msg.make (Msg.Pool { pool; entries; len = 5000 }) in
   Alcotest.(check int) "payload len" 5000 (Msg.payload_len m);
   Alcotest.(check int) "ring len = 8B per descriptor" 16 (Msg.ring_len m);
-  let b = Msg.to_bytes m in
+  let b = Bytes.create 5000 in
+  let module Core = Sds_proto.Stream_core in
+  let landed = Core.land_desc (Core.cursor ()) Core.Global pool entries ~count:2 b ~off:0 ~len:5000 in
+  Alcotest.(check int) "landed whole" 5000 landed;
   Alcotest.(check char) "first page" 'A' (Bytes.get b 0);
-  Alcotest.(check char) "second page" 'B' (Bytes.get b 4500)
+  Alcotest.(check char) "second page" 'B' (Bytes.get b 4500);
+  Alcotest.(check int) "pages released" 2 (Sds_vm.Pagepool.free_pages pool)
 
 (* ---- Shm_chan ---- *)
 
