@@ -29,12 +29,26 @@ type result = {
   msgs_per_sec : float;
   mb_per_sec : float;
   ok : bool;  (** checksums matched, nothing torn *)
+  missed : string option;
+      (** the row's performance bar, when it was missed: what was measured
+          against which target.  Kept apart from [ok], so an intact but
+          slow row never reads as corrupt. *)
 }
+
+(* [None] when [measured] is within [bar], else the miss spelled out. *)
+let over_bar ~what ~unit measured bar =
+  if measured <= bar then None
+  else Some (Printf.sprintf "%s %.2f %s over the %.2f %s bar" what measured unit bar unit)
+
+let status r =
+  match (r.ok, r.missed) with
+  | false, _ -> "CHECKSUM MISMATCH"
+  | true, Some why -> "BELOW TARGET: " ^ why
+  | true, None -> "ok"
 
 let pp_result r =
   Fmt.pr "%-24s %6dB %9d msgs %9.1f ns/msg %10.2f Mmsg/s %9.1f MB/s %s@." r.name r.payload
-    r.msgs r.ns_per_msg (r.msgs_per_sec /. 1e6) r.mb_per_sec
-    (if r.ok then "ok" else "CHECKSUM MISMATCH")
+    r.msgs r.ns_per_msg (r.msgs_per_sec /. 1e6) r.mb_per_sec (status r)
 
 (* ---- checksum folding ----
 
@@ -121,6 +135,7 @@ let cross_domain_throughput ?(ring_size = 1 lsl 20) ?(batch = 64) ~payload ~msgs
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
     ok;
+    missed = None;
   }
 
 (* ---- §4.6 zero-copy stream: page-descriptor handoff vs inline copy ----
@@ -260,6 +275,7 @@ let cross_domain_stream_pool ?(ring_size = 1 lsl 18) ?(pool_pages = 8192)
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
     ok;
+    missed = None;
   }
 
 (* ---- cross-domain ping-pong ----
@@ -297,6 +313,7 @@ let cross_domain_pingpong ?(ring_size = 1 lsl 16) ~payload ~rounds () =
     msgs_per_sec = float_of_int rounds /. dt;
     mb_per_sec = float_of_int rounds *. float_of_int payload /. dt /. 1e6;
     ok = true;
+    missed = None;
   }
 
 (* Stage-breakdown row derived from the ping-pong: the p99 of the §4.4
@@ -313,6 +330,7 @@ let wake_p99_row ~payload ~rounds =
     msgs_per_sec = (if rounds > 0 then float_of_int hs.Sds_obs.Obs.Metrics.hs_count /. float_of_int rounds else 0.);
     mb_per_sec = 0.;
     ok = true;
+    missed = None;
   }
 
 (* ---- span-stamping overhead ----
@@ -362,7 +380,8 @@ let span_overhead ?(ring_size = 1 lsl 20) ?(payload = 64) ?(msgs = 200_000) ?(re
     ns_per_msg = overhead;
     msgs_per_sec = 0.;
     mb_per_sec = 0.;
-    ok = overhead <= 2.0;
+    ok = true;
+    missed = over_bar ~what:"overhead" ~unit:"ns/msg" overhead 2.0;
   }
 
 (* ---- heartbeat-stamp overhead ----
@@ -412,7 +431,8 @@ let heartbeat_overhead ?(ring_size = 1 lsl 20) ?(payload = 64) ?(msgs = 200_000)
     ns_per_msg = overhead;
     msgs_per_sec = 0.;
     mb_per_sec = 0.;
-    ok = overhead <= 2.0;
+    ok = true;
+    missed = over_bar ~what:"overhead" ~unit:"ns/msg" overhead 2.0;
   }
 
 (* ---- single-domain loopback (enq+deq on one core) ---- *)
@@ -436,6 +456,7 @@ let single_domain_throughput ?(ring_size = 1 lsl 20) ~payload ~msgs () =
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
     ok = R.is_empty r;
+    missed = None;
   }
 
 (* Batched flavour: vectored enqueue of [batch] messages, then a batched
@@ -462,6 +483,7 @@ let single_domain_batched ?(ring_size = 1 lsl 20) ~payload ~msgs ~batch () =
     msgs_per_sec = float_of_int total /. dt;
     mb_per_sec = float_of_int total *. float_of_int payload /. dt /. 1e6;
     ok = R.is_empty r;
+    missed = None;
   }
 
 (* §4.5 adaptive batch sizing measured at ring level: the socket layer's
@@ -502,6 +524,7 @@ let single_domain_adaptive ?(ring_size = 1 lsl 20) ~payload ~msgs () =
     msgs_per_sec = float_of_int msgs /. dt;
     mb_per_sec = float_of_int msgs *. float_of_int payload /. dt /. 1e6;
     ok = R.is_empty r;
+    missed = None;
   }
 
 (* ---- real-domain prefork data plane (§4.2 + §4.5.2 end to end) ----
@@ -530,6 +553,7 @@ let prefork_row ~workers ~payload ~msgs_per_conn =
     mb_per_sec = float_of_int expected_bytes /. dt /. 1e6;
     (* Every byte exactly once, every connection served exactly once. *)
     ok = s.Rt_prefork.total_bytes = expected_bytes && Rt_prefork.total_served s = workers;
+    missed = None;
   }
 
 (* With [c = min workers cores] truly parallel lanes, x[N] must carry
@@ -555,13 +579,22 @@ let run_prefork () =
     List.map (fun w -> prefork_row ~workers:w ~payload:16384 ~msgs_per_conn:(6_000 / w))
       worker_counts
   in
-  (* Fold the scaling acceptance into the x2/x4 64 B rows' ok flags. *)
+  (* The scaling acceptance of the x2/x4 64 B rows, a bar apart from
+     their integrity. *)
   let x1 = List.hd rows64 in
   let rows64 =
     List.map2
       (fun w r ->
-        if w = 1 then r
-        else { r with ok = r.ok && r.msgs_per_sec >= scaling_target w *. x1.msgs_per_sec })
+        let ratio = r.msgs_per_sec /. x1.msgs_per_sec and target = scaling_target w in
+        if w = 1 || ratio >= target then r
+        else
+          {
+            r with
+            missed =
+              Some
+                (Printf.sprintf "scaling: x%d carries %.2fx the x1 msgs/s, target >= %.2fx" w
+                   ratio target);
+          })
       worker_counts rows64
   in
   rows64 @ rows16k
@@ -608,7 +641,10 @@ let takeover_row () =
     ns_per_msg = p99;
     msgs_per_sec = 0.;
     mb_per_sec = 0.;
-    ok = hs.Sds_obs.Obs.Metrics.hs_count > 0 && p99 <= bar;
+    ok = true;
+    missed =
+      (if hs.Sds_obs.Obs.Metrics.hs_count = 0 then Some "no takeover recorded"
+       else over_bar ~what:"p99" ~unit:"ns" p99 bar);
   }
 
 (* ---- suites ---- *)
@@ -678,14 +714,22 @@ let run_all ?(copy_mode = Cp.Adaptive) () =
   in
   if List.for_all (fun r -> r.ok) all then Fmt.pr "all checksums ok@."
   else Fmt.pr "CHECKSUM FAILURES PRESENT@.";
+  (match List.filter (fun r -> r.missed <> None) all with
+  | [] -> ()
+  | below -> Fmt.pr "%d row(s) below target@." (List.length below));
   all
 
 (* ---- JSON emission (BENCH_ring.json) ---- *)
 
+(* "ok" is the row's whole verdict (integrity and bar), as the ratchet
+   reads it; "integrity" and "missed" say which part failed. *)
 let json_of_result r =
   Printf.sprintf
-    {|    {"name": %S, "payload_bytes": %d, "msgs": %d, "ns_per_msg": %.2f, "msgs_per_sec": %.0f, "mb_per_sec": %.2f, "ok": %b}|}
-    r.name r.payload r.msgs r.ns_per_msg r.msgs_per_sec r.mb_per_sec r.ok
+    {|    {"name": %S, "payload_bytes": %d, "msgs": %d, "ns_per_msg": %.2f, "msgs_per_sec": %.0f, "mb_per_sec": %.2f, "ok": %b, "integrity": %b%s}|}
+    r.name r.payload r.msgs r.ns_per_msg r.msgs_per_sec r.mb_per_sec
+    (r.ok && r.missed = None)
+    r.ok
+    (match r.missed with Some why -> Printf.sprintf {|, "missed": %S|} why | None -> "")
 
 (* Reference points carried in the file so the perf trajectory reads
    PR-over-PR without digging through git history: the seed's wait/notify

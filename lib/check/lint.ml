@@ -52,6 +52,15 @@
                          silently voids that proof.  Single-domain
                          structures that use the names privately are
                          file-allowlisted ([lib/ring/alloc_queue.ml]).
+   - [c-stub-confined]   an [external] bound to a C symbol (any name not
+                         starting with [%]) may appear only in the
+                         allowlisted modules.  A C stub checks nothing the
+                         OCaml type does not, so each one sits behind its
+                         module's own validation — the page pool's
+                         unchecked [memcpy] is reachable only through
+                         [Pagepool]'s page, liveness and range checks.
+                         Compiler primitives ([%caml_bytes_get64u], ...)
+                         are free anywhere.
    - [parse-error]       a file that does not parse is itself a violation
                          (surfaced, never a crash of the pass).
 
@@ -86,6 +95,8 @@ type config = {
   fence_dirs : string list;  (** scopes of the fence-discipline rule *)
   fence_fields : string list;  (** field names owned by the extraction maps *)
   fence_allow : string list;  (** single-domain users of those names *)
+  cstub_dirs : string list;  (** scopes of the c-stub-confined rule *)
+  cstub_allow : string list;  (** files allowed to bind C symbols *)
   scan_dirs : string list;  (** roots walked by [lint_tree] *)
   exclude_dirs : string list;  (** pruned subtrees (fixtures, _build) *)
 }
@@ -131,6 +142,10 @@ let default =
     (* The allocator's cursors are domain-private by construction; its
        plain [tail]/[head] are the documented exception. *)
     fence_allow = [ "lib/ring/alloc_queue.ml" ];
+    cstub_dirs = [ "lib"; "bin"; "bench"; "examples" ];
+    (* The span clock, the page pool's checked memcpy, and the benchmark's
+       getrusage probe. *)
+    cstub_allow = [ "lib/obs/span.ml"; "lib/vm/pagepool.ml"; "bench/e2e/workload.ml" ];
     scan_dirs = [ "lib"; "bin"; "bench"; "examples"; "test" ];
     exclude_dirs = [ "_build"; ".git"; "test/fixtures" ];
   }
@@ -144,6 +159,7 @@ let rule_bigarray = "bigarray-unsafe"
 let rule_metric = "metric-registration"
 let rule_fault = "fault-confined"
 let rule_fence = "fence-discipline"
+let rule_cstub = "c-stub-confined"
 let rule_parse = "parse-error"
 
 let all_rules =
@@ -157,6 +173,7 @@ let all_rules =
     rule_metric;
     rule_fault;
     rule_fence;
+    rule_cstub;
     rule_parse;
   ]
 
@@ -206,6 +223,7 @@ let lint_source ~config ~path ~source =
   let check_fault = in_any path config.fault_dirs in
   let fault_allowed = is_allowed path config.fault_allow in
   let check_fence = in_any path config.fence_dirs && not (is_allowed path config.fence_allow) in
+  let check_cstub = in_any path config.cstub_dirs && not (is_allowed path config.cstub_allow) in
   (* Nesting depth in [fun]/[function] bodies: 0 = module top level. *)
   let fun_depth = ref 0 in
   (* Inside the then-branch of [if Sds_fault.armed () then ...]. *)
@@ -453,8 +471,24 @@ let lint_source ~config ~path ~source =
     check_module_path (Longident.flatten od.popen_expr.txt, od.popen_expr.loc);
     default_it.open_description it od
   in
+  (* [external f : ... = "c_symbol"]: the first name is the one that
+     decides — a [%] primitive is compiled inline, anything else is a C
+     symbol (a second, native-code name is always C too). *)
+  let value_description it (vd : value_description) =
+    with_attrs vd.pval_attributes (fun () ->
+        (match vd.pval_prim with
+        | sym :: _ when check_cstub && not (String.length sym > 0 && sym.[0] = '%') ->
+          add ~loc:vd.pval_loc rule_cstub
+            (Printf.sprintf
+               "external %s binds the C symbol %S outside the stub allowlist \
+                (lib/obs/span.ml, lib/vm/pagepool.ml, bench/e2e/workload.ml); a C stub \
+                checks nothing, so keep it behind its module's own validation"
+               vd.pval_name.txt sym)
+        | _ -> ());
+        default_it.value_description it vd)
+  in
   let it =
-    { default_it with expr; value_binding; module_expr; open_description }
+    { default_it with expr; value_binding; module_expr; open_description; value_description }
   in
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf path;

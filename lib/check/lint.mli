@@ -24,6 +24,10 @@
       libraries, to field names the model extraction maps treat as
       synchronizing state ([tail], [state], [seq], [credits]); provably
       single-domain structures are file-allowlisted.
+    - ["c-stub-confined"]: an [external] bound to a C symbol (a name not
+      starting with [%]) only in the allowlisted modules, each of which
+      validates its arguments before the call; compiler primitives are
+      free anywhere.
     - ["parse-error"]: the file does not parse (always reported).
 
     Suppress any rule locally with [(e [@sds.allow "rule-slug"])]. *)
@@ -53,6 +57,8 @@ type config = {
   fence_dirs : string list;
   fence_fields : string list;
   fence_allow : string list;
+  cstub_dirs : string list;
+  cstub_allow : string list;
   scan_dirs : string list;
   exclude_dirs : string list;
 }

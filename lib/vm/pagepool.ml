@@ -376,49 +376,53 @@ let slice t ~page ~off ~len =
     invalid_arg "Pagepool.slice: bad range";
   Bigarray.Array1.sub t.data ((page * page_size) + off) len
 
-(* Staging blits, bytewise: the stdlib has no Bytes<->Bigarray blit, and
-   these only run on the copy-in/copy-out edges of the remap path (the hot
-   descriptor handoff itself moves no payload bytes). *)
+(* Staging and landing blits: every check runs first — the page is live,
+   [off, off+len) lies inside it, and the caller's range lies inside its
+   [bytes] — and only then does one C [memcpy] move the payload.  The stub
+   checks nothing itself; sdlint's c-stub-confined rule keeps this module
+   its only binder.  The range tests subtract instead of add, so no offset
+   can overflow its way past them. *)
+
+external memcpy_to_page : buf -> int -> Bytes.t -> int -> int -> unit = "sds_pagepool_memcpy"
+[@@noalloc]
+
+external memcpy_from_page : Bytes.t -> int -> buf -> int -> int -> unit = "sds_pagepool_memcpy"
+[@@noalloc]
 
 let[@sds.hot] blit_from_bytes t ~src ~src_off ~page ~off ~len =
   check_live t page "Pagepool.blit_from_bytes";
-  if off < 0 || len < 0 || off + len > page_size then
+  if off < 0 || len < 0 || off > page_size - len then
     invalid_arg "Pagepool.blit_from_bytes: bad range";
-  if src_off < 0 || src_off + len > Bytes.length src then
+  if src_off < 0 || src_off > Bytes.length src - len then
     invalid_arg "Pagepool.blit_from_bytes: bad source range";
-  let base = (page * page_size) + off in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set t.data (base + i) (Bytes.unsafe_get src (src_off + i))
-  done
+  memcpy_to_page t.data ((page * page_size) + off) src src_off len
 
 let[@sds.hot] blit_to_bytes t ~page ~off ~dst ~dst_off ~len =
   check_live t page "Pagepool.blit_to_bytes";
-  if off < 0 || len < 0 || off + len > page_size then
+  if off < 0 || len < 0 || off > page_size - len then
     invalid_arg "Pagepool.blit_to_bytes: bad range";
-  if dst_off < 0 || dst_off + len > Bytes.length dst then
+  if dst_off < 0 || dst_off > Bytes.length dst - len then
     invalid_arg "Pagepool.blit_to_bytes: bad destination range";
-  let base = (page * page_size) + off in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_off + i) (Bigarray.Array1.unsafe_get t.data (base + i))
-  done
+  memcpy_from_page dst dst_off t.data ((page * page_size) + off) len
 
-(* 63-bit int load/store at a byte position, little-endian; used by the
-   bench to stamp/checksum page payloads without materialising Bytes.
-   Bit 63 is dropped on the round trip (OCaml ints are 63-bit anyway). *)
+(* 63-bit int load/store at a byte position, little-endian, as one 8-byte
+   access; used by the bench to stamp/checksum page payloads without
+   materialising Bytes.  Bit 63 is dropped on the round trip (OCaml ints
+   are 63-bit anyway), and [get_int_le] also clears bit 62, so the value
+   read back is [v land max_int]. *)
+
+external bigstring_get64u : buf -> int -> int64 = "%caml_bigstring_get64u"
+external bigstring_set64u : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let[@sds.hot] set_int_le t pos v =
-  if pos < 0 || pos + 8 > Bigarray.Array1.dim t.data then
+  if pos < 0 || pos > Bigarray.Array1.dim t.data - 8 then
     invalid_arg "Pagepool.set_int_le: out of range";
-  for i = 0 to 7 do
-    Bigarray.Array1.unsafe_set t.data (pos + i)
-      (Char.unsafe_chr ((v asr (8 * i)) land 0xFF))
-  done
+  let w = Int64.of_int v in
+  bigstring_set64u t.data pos (if Sys.big_endian then bswap64 w else w)
 
 let[@sds.hot] get_int_le t pos =
-  if pos < 0 || pos + 8 > Bigarray.Array1.dim t.data then
+  if pos < 0 || pos > Bigarray.Array1.dim t.data - 8 then
     invalid_arg "Pagepool.get_int_le: out of range";
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bigarray.Array1.unsafe_get t.data (pos + i))
-  done;
-  !v land max_int
+  let w = bigstring_get64u t.data pos in
+  Int64.to_int (if Sys.big_endian then bswap64 w else w) land max_int

@@ -113,10 +113,20 @@ val slice : t -> page:int -> off:int -> len:int -> buf
     slice's lifetime.  Raises on a released page or an out-of-page range. *)
 
 val blit_from_bytes : t -> src:Bytes.t -> src_off:int -> page:int -> off:int -> len:int -> unit
+(** Copy [len] bytes of [src] at [src_off] into [page] at [off] (staging).
+    Raises [Invalid_argument] on a bad or released page, a range outside
+    the page, or a range outside [src] — all checked before one C
+    [memcpy] (lib/vm/pagepool_stubs.c) moves any byte. *)
+
 val blit_to_bytes : t -> page:int -> off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes of [page] at [off] into [dst] at [dst_off] (landing);
+    the same checks, in the same order, precede the same [memcpy]. *)
 
 val set_int_le : t -> int -> int -> unit
 (** [set_int_le t pos v]: store [v] little-endian at byte [pos] of the
-    pool buffer (63-bit round trip). *)
+    pool buffer as one 8-byte access; raises if [pos + 8] passes the end
+    of the buffer. *)
 
 val get_int_le : t -> int -> int
+(** The 8 bytes at [pos], little-endian, as [v land max_int]: bit 63 is
+    dropped on the round trip (and the sign bit with it). *)

@@ -77,6 +77,14 @@ let () =
   measure "Pagepool.alloc + release" iters (fun () ->
       let p = Pp.alloc ph in
       Pp.release ph p);
+  (* Stream staging and landing: one page in from Bytes, one page back out,
+     each a checked memcpy. *)
+  let page_bytes = Bytes.make Pp.page_size 'p' in
+  let bp = Pp.alloc ph in
+  measure "Pagepool blit 4 KiB in + out" iters (fun () ->
+      Pp.blit_from_bytes pool ~src:page_bytes ~src_off:0 ~page:bp ~off:0 ~len:Pp.page_size;
+      Pp.blit_to_bytes pool ~page:bp ~off:0 ~dst:page_bytes ~dst_off:0 ~len:Pp.page_size);
+  Pp.release ph bp;
   let send_entries = Array.make 1 0 in
   let entries = Array.make 1 0 in
   measure "desc enq + deq + handoff (obs on)" iters (fun () ->

@@ -208,6 +208,33 @@ let test_fence_rule () =
 
 (* ---- github annotation format ---- *)
 
+(* ---- c-stub-confined ---- *)
+
+let test_cstub_rule () =
+  Alcotest.(check bool)
+    "c-stub-confined is a registered rule" true
+    (List.mem "c-stub-confined" Lint.all_rules);
+  check_rules "the page pool may bind its memcpy stub" ~path:"lib/vm/pagepool.ml"
+    "external memcpy : bytes -> int -> int -> unit = \"sds_pagepool_memcpy\" [@@noalloc]" [];
+  check_rules "the span clock and the benchmark probe are allowlisted too"
+    ~path:"bench/e2e/workload.ml" "external maxrss_kb : unit -> int = \"sdbench_maxrss_kb\"" [];
+  check_rules "a % primitive passes anywhere" ~path:"lib/ring/x.ml"
+    "external get64 : Bytes.t -> int -> int64 = \"%caml_bytes_get64u\"" [];
+  check_rules "a C external elsewhere is flagged" ~path:"lib/proto/x.ml"
+    "external memcpy : bytes -> int -> int -> unit = \"sds_pagepool_memcpy\" [@@noalloc]"
+    [ "c-stub-confined" ];
+  check_rules "bytecode/native name pairs are C symbols" ~path:"bin/x.ml"
+    "external f : int -> int = \"f_byte\" \"f_native\"" [ "c-stub-confined" ];
+  check_rules "a C external in a signature is flagged" ~path:"examples/x.ml"
+    "module type S = sig external f : unit -> int = \"c_f\" end"
+    [ "c-stub-confined" ];
+  check_rules "plain vals are not externals" ~path:"lib/proto/x.ml"
+    "module type S = sig val f : unit -> int end" [];
+  check_rules "tests may bind stubs ad hoc" ~path:"test/t.ml"
+    "external f : unit -> int = \"c_f\"" [];
+  check_rules "suppression works on the external" ~path:"lib/proto/x.ml"
+    "external f : unit -> int = \"c_f\" [@@sds.allow \"c-stub-confined\"]" []
+
 let test_github_format () =
   let v =
     {
@@ -674,6 +701,7 @@ let suite =
     Alcotest.test_case "lint: metric-registration" `Quick test_metric_rule;
     Alcotest.test_case "lint: fault-confined" `Quick test_fault_rule;
     Alcotest.test_case "lint: fence-discipline" `Quick test_fence_rule;
+    Alcotest.test_case "lint: c-stub-confined" `Quick test_cstub_rule;
     Alcotest.test_case "lint: github annotation format" `Quick test_github_format;
     Alcotest.test_case "lint: parse errors" `Quick test_parse_error;
     Alcotest.test_case "lint: mli parity over a tree" `Quick test_mli_parity;
