@@ -35,6 +35,6 @@ val decide : t -> pool:Sds_vm.Pagepool.t option -> len:int -> bool
     [pool] is the pool the sender stages into, read for pressure only when
     [len >= min_threshold] (smaller payloads always copy); [None] when it
     does not exist yet, or when its fill is not memory pressure ([Rt_sock]:
-    a pool private to one connection direction fills with backlog).  Every decision feeds the size histogram.
+    a lagging receiver's backlog dominates the process pool's fill).  Every decision feeds the size histogram.
     Records the decision in the [pool.remaps]/[pool.copies] counters and
     the [pool.remap_bytes] histogram. *)

@@ -78,7 +78,7 @@ let stage pool h buf ~off ~len entries =
 
 (* ---- receive ---- *)
 
-type landing = Global | Owned of { h : Pp.handle; owner : int }
+type landing = Global | Owned of { h : Pp.handle; from : int; owner : int }
 
 let release landing pool page =
   match landing with
@@ -152,16 +152,17 @@ let rec land_pages c landing pool entries ~count ~idx ~skip dst ~pos ~limit =
 
 let lost = -1
 
-(* Adopt every page before touching any payload: once adopted, a crash of
-   the sender cannot reclaim it out from under us.  A failed adoption
-   means the reclaimer already won — the payload is gone with its owner. *)
+(* Adopt every page from the id it was published under before touching
+   any payload: once adopted, a reclaim of that id cannot free it out from
+   under us.  A failed adoption means the reclaimer already won — the
+   payload is gone with its connection. *)
 let adopt landing pool entries ~count =
   match landing with
   | Global -> true
-  | Owned { h; owner } ->
+  | Owned { h; from; owner } ->
     let adopted = ref 0 in
     while
-      !adopted < count && Pp.try_adopt pool ~page:(R.desc_page entries.(!adopted)) ~owner
+      !adopted < count && Pp.try_adopt pool ~page:(R.desc_page entries.(!adopted)) ~from ~owner
     do
       incr adopted
     done;

@@ -50,9 +50,10 @@ val stage :
 
 type landing =
   | Global  (** no adoption, release through the pool's shared stack (the simulator) *)
-  | Owned of { h : Sds_vm.Pagepool.handle; owner : int }
-      (** adopt every page for [owner] first, release through [h]: a
-          crash-safe real-domain receiver.  Every page is released before
+  | Owned of { h : Sds_vm.Pagepool.handle; from : int; owner : int }
+      (** adopt every page from [from] (the id its sender handed it over
+          to) for [owner] first, release through [h]: a crash-safe
+          real-domain receiver.  Every page is released before
           the call returns; a remainder [len] cannot hold is copied to the
           cursor, so no adopted page outlives the operation (and a dead
           operator's reclaimed pages are never touched again). *)

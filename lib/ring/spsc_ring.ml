@@ -116,10 +116,12 @@ type t = {
    The enqueue/dequeue fast paths are too hot for even a sharded registry
    add (the whole budget is a few nanoseconds), so rings keep their stats in
    their own single-writer padded fields and the registry reads them through
-   probes at snapshot time.  Live rings are tracked through a weak array (so
-   observability never extends a ring's lifetime); a finalizer folds a dying
-   ring's totals into the [retired] accumulator, keeping every probe value
-   monotone across GC. *)
+   probes at snapshot time.  Live rings are tracked through a weak
+   [Sds_obs.Registry] (so observability never extends a ring's lifetime); a
+   finalizer folds a dying ring's totals into the [retired] accumulator,
+   keeping every probe value monotone across GC.  [retired_mu] is never
+   held across a registry walk, so a finalizer running inside one cannot
+   find it taken. *)
 
 module Obs = Sds_obs.Obs
 module Span = Sds_obs.Span
@@ -139,11 +141,11 @@ let retired =
   { r_created = 0; r_enqueued = 0; r_enq_bytes = 0; r_batches = 0; r_full = 0; r_dequeued = 0;
     r_deq_bytes = 0; r_credit_returns = 0 }
 
-let live_mu = Mutex.create ()
-let live : t Weak.t ref = ref (Weak.create 64)
+let retired_mu = Mutex.create ()
+let live : t Sds_obs.Registry.t = Sds_obs.Registry.create 64
 
 let obs_retire t =
-  Mutex.lock live_mu;
+  Mutex.lock retired_mu;
   retired.r_enqueued <- retired.r_enqueued + t.prod.enqueued;
   retired.r_enq_bytes <- retired.r_enq_bytes + t.prod.enq_bytes;
   retired.r_batches <- retired.r_batches + t.prod.batches;
@@ -151,37 +153,16 @@ let obs_retire t =
   retired.r_dequeued <- retired.r_dequeued + t.cons.dequeued;
   retired.r_deq_bytes <- retired.r_deq_bytes + t.cons.deq_bytes;
   retired.r_credit_returns <- retired.r_credit_returns + t.cons.credit_returns;
-  Mutex.unlock live_mu
+  Mutex.unlock retired_mu
 
 let obs_register t =
-  Mutex.lock live_mu;
+  Mutex.lock retired_mu;
   retired.r_created <- retired.r_created + 1;
-  let w = !live in
-  let n = Weak.length w in
-  let rec free_slot i = if i >= n then -1 else if Weak.check w i then free_slot (i + 1) else i in
-  (match free_slot 0 with
-  | slot when slot >= 0 -> Weak.set w slot (Some t)
-  | _ ->
-    let bigger = Weak.create (2 * n) in
-    for i = 0 to n - 1 do
-      Weak.set bigger i (Weak.get w i)
-    done;
-    Weak.set bigger n (Some t);
-    live := bigger);
-  Mutex.unlock live_mu;
+  Mutex.unlock retired_mu;
+  Sds_obs.Registry.add live t;
   Gc.finalise obs_retire t
 
-let fold_live f base =
-  Mutex.lock live_mu;
-  let acc = ref base in
-  let w = !live in
-  for i = 0 to Weak.length w - 1 do
-    match Weak.get w i with
-    | Some t -> acc := !acc + f t
-    | None -> ()
-  done;
-  Mutex.unlock live_mu;
-  !acc
+let fold_live f base = Sds_obs.Registry.fold live (fun t acc -> acc + f t) base
 
 (* Global histogram of vectored-enqueue batch sizes: one observe per
    [enqueue_batch] call, amortized over the whole batch. *)
@@ -201,21 +182,14 @@ let () =
      of every live ring — the first thing to read in a deadlock dump. *)
   Sds_obs.Flight.register_state "ring" (fun () ->
       let b = Buffer.create 256 in
-      Mutex.lock live_mu;
-      let w = !live in
-      for i = 0 to Weak.length w - 1 do
-        match Weak.get w i with
-        | Some t ->
+      Sds_obs.Registry.iteri live (fun i t ->
           Buffer.add_string b
             (Printf.sprintf
                "ring=%d size=%d tail=%d head=%d credits=%d enqueued=%d dequeued=%d pending_return=%d rx_parked=%b tx_parked=%b\n"
                i t.size (Atomic.get t.tail) t.cons.head (Atomic.get t.credits) t.prod.enqueued
                t.cons.dequeued t.cons.pending_return
                (Sds_notify.Waiter.parked t.rx_waiter)
-               (Sds_notify.Waiter.parked t.tx_waiter))
-        | None -> ()
-      done;
-      Mutex.unlock live_mu;
+               (Sds_notify.Waiter.parked t.tx_waiter)));
       Buffer.contents b)
 
 (* Edge-triggered full/stall bookkeeping: counts every rejected attempt but

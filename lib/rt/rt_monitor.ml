@@ -42,10 +42,9 @@ type t = {
   l_closing : bool Atomic.t;
   l_accepted : int Atomic.t;
   l_ring_size : int;
-  l_pool_pages : int;
 }
 
-let listener ?(ring_size = 64 * 1024) ?(pool_pages = 512) ?(capacity = 128) ~workers () =
+let listener ?(ring_size = 64 * 1024) ?(capacity = 128) ~workers () =
   if workers < 1 then invalid_arg "Rt_monitor.listener";
   {
     l_workers = Array.make workers None;
@@ -56,7 +55,6 @@ let listener ?(ring_size = 64 * 1024) ?(pool_pages = 512) ?(capacity = 128) ~wor
     l_closing = Atomic.make false;
     l_accepted = Atomic.make 0;
     l_ring_size = ring_size;
-    l_pool_pages = pool_pages;
   }
 
 let workers t = Array.length t.l_workers
@@ -151,8 +149,7 @@ let connect t ~dom =
      by a different worker than the one we picked, and the acceptor's
      first operation takes free tokens with one CAS. *)
   let client_end, server_end =
-    Rt_sock.pair ~ring_size:t.l_ring_size ~pool_pages:t.l_pool_pages ~a_owner:dom
-      ~b_owner:(-1) ()
+    Rt_sock.pair ~ring_size:t.l_ring_size ~a_owner:dom ~b_owner:(-1) ()
   in
   (* Chaos site: die after creating the pair, before the backlog push —
      the fork-storm shape: a connection exists that no worker will ever
@@ -257,16 +254,11 @@ let close_listener t =
 
 (* ---- flight-recorder section ---- *)
 
-let reg_mu = Mutex.create ()
-let listeners : t Weak.t = Weak.create 64
+let listeners : t Sds_obs.Registry.t = Sds_obs.Registry.create 64
 
 let render_monitor () =
   let b = Buffer.create 128 in
-  Mutex.lock reg_mu;
-  for i = 0 to Weak.length listeners - 1 do
-    match Weak.get listeners i with
-    | None -> ()
-    | Some t ->
+  Sds_obs.Registry.iteri listeners (fun i t ->
       Buffer.add_string b
         (Printf.sprintf "listener#%d rr=%d accepted=%d closing=%b" i t.l_rr
            (Atomic.get t.l_accepted) (Atomic.get t.l_closing));
@@ -278,31 +270,14 @@ let render_monitor () =
               (Printf.sprintf " w%d=slot%d/pend%d/served%d/stolen%d" j w.w_slot
                  (Atomic.get w.w_pending) w.w_served w.w_stolen))
         t.l_workers;
-      Buffer.add_char b '\n'
-  done;
-  Mutex.unlock reg_mu;
+      Buffer.add_char b '\n');
   Buffer.contents b
 
 let () = Sds_obs.Flight.register_state "rt_monitor" render_monitor
 
-let track t =
-  Mutex.lock reg_mu;
-  (try
-     let placed = ref false in
-     for i = 0 to Weak.length listeners - 1 do
-       if (not !placed) && Weak.get listeners i = None then begin
-         Weak.set listeners i (Some t);
-         placed := true
-       end
-     done
-   with e ->
-     Mutex.unlock reg_mu;
-     raise e);
-  Mutex.unlock reg_mu
-
-let create ?ring_size ?pool_pages ?capacity ~workers () =
-  let t = listener ?ring_size ?pool_pages ?capacity ~workers () in
-  track t;
+let create ?ring_size ?capacity ~workers () =
+  let t = listener ?ring_size ?capacity ~workers () in
+  Sds_obs.Registry.add listeners t;
   t
 
 (* ---- liveness reaper (§4.3) --------------------------------------------

@@ -9,8 +9,7 @@
 type t
 type worker
 
-val create :
-  ?ring_size:int -> ?pool_pages:int -> ?capacity:int -> workers:int -> unit -> t
+val create : ?ring_size:int -> ?capacity:int -> workers:int -> unit -> t
 (** A listener dispatching to [workers] worker domains; [capacity] bounds
     each per-worker accept backlog (default 128). *)
 

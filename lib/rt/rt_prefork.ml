@@ -87,13 +87,13 @@ let client_conn mon ~dom ~payload ~msgs ~burst ~echo buf entries =
   end
 
 let run ?(payload = 64) ?(msgs_per_conn = 1000) ?conns ?(echo = false) ?(burst = 32)
-    ?ring_size ?pool_pages ?capacity ?client_domains ~workers () =
+    ?ring_size ?capacity ?client_domains ~workers () =
   if workers < 1 then invalid_arg "Rt_prefork.run";
   let conns = match conns with Some c -> c | None -> workers in
   let client_domains =
     match client_domains with Some c -> max 1 (min c conns) | None -> min conns (max 1 workers)
   in
-  let mon = Rt_monitor.create ?ring_size ?pool_pages ?capacity ~workers () in
+  let mon = Rt_monitor.create ?ring_size ?capacity ~workers () in
   let bytes = Array.make workers 0 in
   let worker_handles =
     Array.init workers (fun index ->

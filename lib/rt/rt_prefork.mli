@@ -24,7 +24,6 @@ val run :
   ?echo:bool ->
   ?burst:int ->
   ?ring_size:int ->
-  ?pool_pages:int ->
   ?capacity:int ->
   ?client_domains:int ->
   workers:int ->

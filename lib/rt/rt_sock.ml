@@ -1,29 +1,38 @@
 (* Real-domain sockets: the §4.2 per-connection queue pair on actual OCaml
    domains, wired through the existing ring + notify + pagepool stack.
 
-   One connection = two SPSC rings (one per direction) + one staging
-   [Pagepool] per direction for the §4.6 descriptor path + four
-   [Rt_token]s (a send and a recv token per endpoint).  The stream rules
-   are [Sds_proto.Stream_core]'s, shared with the simulator's [Libsd]:
-   each endpoint's [Copy_policy] picks inline ring records or
+   One connection = a lane (two SPSC rings, one per direction) + four
+   [Rt_token]s (a send and a recv token per endpoint); every connection
+   of the process stages its §4.6 descriptor pages in one [Pagepool].  The
+   stream rules are [Sds_proto.Stream_core]'s, shared with the simulator's
+   [Libsd]: each endpoint's [Copy_policy] picks inline ring records or
    page-descriptor records, and what [recv]'s [len] cannot hold stays in
    the endpoint's cursor.  A zero-length record flagged [flag_fin]
-   carries EOF.
+   carries EOF.  Connection set-up costs queue set-up, not heap churn: a
+   cleanly closed connection's lane is recycled for the next [pair].
 
-   Every endpoint pair registers in a process-wide registry: the
-   [rt_conn] flight-recorder section shows owners, ring occupancy and byte
+   Every endpoint registers in a process-wide registry: the [rt_conn]
+   flight-recorder section shows owners, lane, ring occupancy and byte
    counts per connection — the "ring-pair registry per domain pair".
+
+   Page ownership is scoped to one connection by the page's owner stamp:
+
+     stamp                     page state
+     sending or landing slot   staged, or mid-landing
+     direction id ([dir.id])   published, not yet adopted
 
    Crash compatibility (§4.3): both endpoints of a pair share one poison
    flag.  When an involved domain dies ([Rt_dom.on_death] hook below), the
    connection is poisoned and every parked waiter kicked: blocking
    operations on either end raise [Peer_dead] (EPIPE on send, ECONNRESET
-   on recv) instead of hanging, and in-flight staging pages of the dead
-   incarnation are reclaimed ([Pagepool.reclaim_owner]).  Receivers adopt
-   descriptor pages before touching the payload, so reclamation and
-   consumption arbitrate through the page's owner cell — exactly one
-   wins.  Every blocking park is bounded, so the exit path does not
-   depend on any notify arriving. *)
+   on recv) instead of hanging.  The reaper then frees the dead slot's
+   pages and the published pages of the pairs it poisoned
+   ([Pagepool.reclaim_owners]); published pages of healthy pairs carry
+   their direction's id, so a dead sender's reclaim never touches them.
+   Receivers adopt descriptor pages before touching the payload, so
+   reclamation and consumption arbitrate through the page's owner cell —
+   exactly one wins.  Every blocking park is bounded, so the exit path
+   does not depend on any notify arriving. *)
 
 module R = Sds_ring.Spsc_ring
 module Pp = Sds_vm.Pagepool
@@ -45,11 +54,84 @@ let m_desc_sends = Obs.Metrics.counter "rt.desc_sends"
 let m_pool_fallbacks = Obs.Metrics.counter "rt.pool_fallbacks"
 let m_poisoned = Obs.Metrics.counter "rt.poisoned"
 
-type dir = { ring : R.t; pool : Pp.t }
+(* ---- the process pool and ring lanes ----
+
+   One staging pool serves every connection of the process, so page
+   ownership is scoped per connection by stamps: a staged page carries the
+   sending slot's id, a published one its connection direction's id
+   ([dir.id], fresh for every connection), and the receiver adopts only
+   from that id.  A dead slot's reclaim therefore never touches what a
+   healthy pair has published, and a stale descriptor can never adopt a
+   page that was reclaimed and allocated again. *)
+
+let pool = Pp.create ~pages:512 ()
+
+(* A lane is the ring pair a connection runs on.  A connection finished
+   cleanly (both FINs sent and dequeued, so both rings are empty) hands
+   its lane to [free_lanes] for the next [pair]; a poisoned or abandoned
+   one is never reused.  [ab_id]/[ba_id] are the current connection's
+   direction ids, read by the finaliser. *)
+type lane = { ab : R.t; ba : R.t; serial : int; mutable ab_id : int; mutable ba_id : int }
+
+let free_lanes_max = 16
+let lanes_mu = Mutex.create ()
+let free_lanes : lane list ref = ref [] (* guarded by [lanes_mu]; at most [free_lanes_max] *)
+let lane_serial = Atomic.make 0
+
+(* Direction ids start above the slot ids, so the two never collide. *)
+let next_id = Atomic.make Rt_dom.max_slots
+
+(* Direction ids of lanes collected without being recycled: their
+   published, never-adopted pages still need freeing.  Pushed by
+   finalisers, which may run inside any allocation, hence a lock-free
+   list; drained by [pair] and the reaper. *)
+let orphans : int list Atomic.t = Atomic.make []
+
+let rec push_orphans ids =
+  let old = Atomic.get orphans in
+  if not (Atomic.compare_and_set orphans old (ids @ old)) then push_orphans ids
+
+let orphaned l = if l.ab_id >= 0 then push_orphans [ l.ab_id; l.ba_id ]
+let take_orphans () = Atomic.exchange orphans []
+
+let new_lane ring_size =
+  let l =
+    { ab = R.create ~size:ring_size (); ba = R.create ~size:ring_size ();
+      serial = Atomic.fetch_and_add lane_serial 1; ab_id = Pp.no_owner; ba_id = Pp.no_owner }
+  in
+  Gc.finalise orphaned l;
+  l
+
+let take_lane ring_size =
+  let fits l = R.capacity l.ab = ring_size in
+  let l =
+    Mutex.protect lanes_mu (fun () ->
+        match List.find_opt fits !free_lanes with
+        | Some l ->
+          free_lanes := List.filter (fun l' -> l' != l) !free_lanes;
+          Some l
+        | None -> None)
+  in
+  let l = match l with Some l -> l | None -> new_lane ring_size in
+  let base = Atomic.fetch_and_add next_id 2 in
+  l.ab_id <- base;
+  l.ba_id <- base + 1;
+  l
+
+let recycle l =
+  l.ab_id <- Pp.no_owner;
+  l.ba_id <- Pp.no_owner;
+  Mutex.protect lanes_mu (fun () ->
+      if List.length !free_lanes < free_lanes_max then free_lanes := l :: !free_lanes)
+
+(* ---- endpoints ---- *)
+
+type dir = { ring : R.t; id : int  (** the stamp its published pages carry *) }
 
 type t = {
   tx : dir;
   rx : dir;
+  lane : lane;
   send_tok : Rt_token.t;
   recv_tok : Rt_token.t;
   batch : Batch_ctl.t;
@@ -62,59 +144,50 @@ type t = {
   mutable fin_tx : bool;  (** guarded by [send_tok] *)
   cid : int;
   peer_slot : int;
+  peer_epoch : int;  (** [peer_slot]'s incarnation at [pair] *)
   dead : bool Atomic.t;  (** the poison flag, shared by both endpoints *)
+  fins : int Atomic.t;
+      (** FINs the pair has sent and dequeued, shared by both endpoints; at
+          4 the connection is finished and its lane recycled *)
   mutable peer : t option;  (** the other endpoint; set by [pair] *)
   mutable op_slot : int;  (** last slot to operate this end (racy; init owner) *)
+  mutable op_epoch : int;  (** [op_slot]'s incarnation then (racy) *)
 }
 
-(* ---- connection registry (flight recorder / tests) ---- *)
+(* ---- connection registry (flight recorder / crash recovery) ---- *)
 
-let reg_mu = Mutex.create ()
-let reg : t Weak.t = Weak.create 1024
+let reg : t Sds_obs.Registry.t = Sds_obs.Registry.create 1024
 let cid_counter = ref 0
-
-let register t =
-  Mutex.lock reg_mu;
-  (try
-     let placed = ref false in
-     for i = 0 to Weak.length reg - 1 do
-       if (not !placed) && Weak.get reg i = None then begin
-         Weak.set reg i (Some t);
-         placed := true
-       end
-     done
-   with e ->
-     Mutex.unlock reg_mu;
-     raise e);
-  Mutex.unlock reg_mu
+let finished t = Atomic.get t.fins = 4
 
 let render_conns () =
   let b = Buffer.create 256 in
-  Mutex.lock reg_mu;
-  for i = 0 to Weak.length reg - 1 do
-    match Weak.get reg i with
-    | None -> ()
-    | Some t ->
+  Sds_obs.Registry.iteri reg (fun _ t ->
+      (* A finished connection's lane may carry another one by now. *)
+      let used d = if finished t then 0 else R.used d.ring in
       Buffer.add_string b
         (Printf.sprintf
-           "conn#%d peer_slot=%d op_slot=%d tx_used=%d rx_used=%d sent=%d received=%d \
+           "conn#%d lane=%d peer_slot=%d op_slot=%d tx_used=%d rx_used=%d sent=%d received=%d \
             fin_tx=%b fin_rx=%b poisoned=%b\n"
-           t.cid t.peer_slot t.op_slot (R.used t.tx.ring) (R.used t.rx.ring) t.bytes_sent
-           t.bytes_received t.fin_tx t.fin_rx (Atomic.get t.dead))
-  done;
-  Mutex.unlock reg_mu;
+           t.cid t.lane.serial t.peer_slot t.op_slot (used t.tx) (used t.rx) t.bytes_sent
+           t.bytes_received t.fin_tx t.fin_rx (Atomic.get t.dead)));
   Buffer.contents b
 
 let () = Sds_obs.Flight.register_state "rt_conn" render_conns
 
 (* ---- construction ---- *)
 
-let endpoint ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring ~rx_pool ~dead =
+(* A slot's current incarnation; slots are reused once their domain
+   exits, so involvement in a connection is judged per incarnation. *)
+let[@inline] epoch_of slot = if slot < 0 then 0 else Rt_dom.epoch slot
+
+let endpoint ~owner ~peer_slot ~lane ~tx ~rx ~dead ~fins =
   incr cid_counter;
   let t =
     {
-      tx = { ring = tx_ring; pool = tx_pool };
-      rx = { ring = rx_ring; pool = rx_pool };
+      tx;
+      rx;
+      lane;
       send_tok = Rt_token.create ~name:"send" ~holder:owner ();
       recv_tok = Rt_token.create ~name:"recv" ~holder:owner ();
       batch = Batch_ctl.create ();
@@ -127,34 +200,43 @@ let endpoint ~owner ~peer_slot ~tx_ring ~tx_pool ~rx_ring ~rx_pool ~dead =
       fin_tx = false;
       cid = !cid_counter;
       peer_slot;
+      peer_epoch = epoch_of peer_slot;
       dead;
+      fins;
       peer = None;
       op_slot = owner;
+      op_epoch = epoch_of owner;
     }
   in
-  register t;
+  Sds_obs.Registry.add reg t;
   t
 
-(* A connected endpoint pair: [a]'s tx ring is [b]'s rx ring and vice
-   versa; each direction's staging pool is shared by its sender (alloc +
-   blit) and receiver (blit + release). *)
-let pair ?(ring_size = 64 * 1024) ?(pool_pages = 512) ~a_owner ~b_owner () =
-  let ab = R.create ~size:ring_size () in
-  let ba = R.create ~size:ring_size () in
-  let pool_ab = Pp.create ~pages:pool_pages () in
-  let pool_ba = Pp.create ~pages:pool_pages () in
-  let dead = Atomic.make false in
-  let a =
-    endpoint ~owner:a_owner ~peer_slot:b_owner ~tx_ring:ab ~tx_pool:pool_ab ~rx_ring:ba
-      ~rx_pool:pool_ba ~dead
-  in
-  let b =
-    endpoint ~owner:b_owner ~peer_slot:a_owner ~tx_ring:ba ~tx_pool:pool_ba ~rx_ring:ab
-      ~rx_pool:pool_ab ~dead
-  in
+(* A connected endpoint pair on a recycled or new lane: [a]'s tx ring is
+   [b]'s rx ring and vice versa.  Pages of abandoned lanes are freed
+   first, so a process that drops connections without closing them does
+   not drain the pool. *)
+let pair ?(ring_size = 64 * 1024) ~a_owner ~b_owner () =
+  (match take_orphans () with [] -> () | ids -> ignore (Pp.reclaim_owners pool ~owners:ids));
+  let lane = take_lane ring_size in
+  let ab = { ring = lane.ab; id = lane.ab_id } and ba = { ring = lane.ba; id = lane.ba_id } in
+  let dead = Atomic.make false and fins = Atomic.make 0 in
+  let a = endpoint ~owner:a_owner ~peer_slot:b_owner ~lane ~tx:ab ~rx:ba ~dead ~fins in
+  let b = endpoint ~owner:b_owner ~peer_slot:a_owner ~lane ~tx:ba ~rx:ab ~dead ~fins in
   a.peer <- Some b;
   b.peer <- Some a;
   (a, b)
+
+let lane t = t.lane.serial
+
+let[@inline] operate t ~dom =
+  t.op_slot <- dom;
+  t.op_epoch <- Rt_dom.epoch dom
+
+(* One of the pair's four FIN events (a FIN enqueued or dequeued), counted
+   after the ring operation returned; the fourth, on a pair that is not
+   poisoned, recycles the lane — no endpoint touches its rings again. *)
+let fin_event t =
+  if Atomic.fetch_and_add t.fins 1 = 3 && not (Atomic.get t.dead) then recycle t.lane
 
 let bytes_sent t = t.bytes_sent
 let bytes_received t = t.bytes_received
@@ -213,9 +295,24 @@ let[@inline] return_pending ring =
   let c = R.take_credit_return ring in
   if c > 0 then R.return_credits ring c
 
-(* One stream send through the shared record plan.  Descriptor pages are
-   stamped with the sending slot so [reclaim_owner] can find them if we
-   die between allocation and the receiver's adoption. *)
+(* Publish a staged record's pages to the receiver: re-stamp each from
+   the sending slot to this direction's id.  A page that no longer carries
+   [dom] was reclaimed by the reaper (which declared this slot dead and
+   poisoned the pair); the reaper's pass frees the rest under either
+   stamp. *)
+let hand_over t ~dom ~n =
+  for i = 0 to n - 1 do
+    if not (Pp.hand_over pool ~page:(R.desc_page t.stage.(i)) ~from:dom ~to_:t.tx.id) then begin
+      poison t;
+      raise Peer_dead
+    end
+  done
+
+(* One stream send through the shared record plan.  A descriptor record
+   first waits for its ring room (the sender is the ring's one producer,
+   so the room stays), then stages its pages stamped with the sending
+   slot — what [reclaim_owners] frees if we die before publishing — and
+   hands them over to the direction's id just before the enqueue. *)
 let send_locked t ~dom buf ~off ~len =
   if t.fin_tx then invalid_arg "Rt_sock.send: after close";
   check_poison t;
@@ -225,18 +322,21 @@ let send_locked t ~dom buf ~off ~len =
     if off + len < stop && Sds_fault.armed () then Sds_fault.inject "rt_sock.mid_publish"
   in
   let desc ~off ~len =
-    let h = Pp.domain_handle t.tx.pool in
+    let n = Core.pages_for len in
+    while R.credits t.tx.ring < R.record_bytes (8 * n) do
+      wait_tx_p t ~len:(8 * n)
+    done;
+    let h = Pp.domain_handle pool in
     Pp.set_owner h dom;
     if Array.length t.stage = 0 then t.stage <- Array.make max_desc_per_record 0;
-    Core.stage t.tx.pool h buf ~off ~len t.stage
+    Core.stage pool h buf ~off ~len t.stage
     && begin
          (* Chaos site: die holding filled, unpublished pages — only
-            [reclaim_owner] can get them back. *)
+            [reclaim_owners] can get them back. *)
          if Sds_fault.armed () then Sds_fault.inject "rt_sock.holding_pages";
-         let n = Core.pages_for len in
-         while not (R.try_enqueue_descs t.tx.ring t.stage ~n) do
-           wait_tx_p t ~len:(8 * n)
-         done;
+         hand_over t ~dom ~n;
+         let enqueued = R.try_enqueue_descs t.tx.ring t.stage ~n in
+         assert enqueued;
          Obs.Metrics.incr m_desc_sends;
          published ~off ~len;
          true
@@ -248,11 +348,11 @@ let send_locked t ~dom buf ~off ~len =
     done;
     published ~off ~len
   in
-  (* The decision reads no pool occupancy: this pool belongs to one
-     direction of one connection, so its fill is how far the sender runs
-     ahead of the receiver, not memory pressure.  Backing off on it would
-     flip a receiver-bound stream between copying and zero-copy with the
-     receiver's scheduling; exhaustion already falls back per record. *)
+  (* The decision reads no pool occupancy.  Even in the process pool, a
+     single stream's fill is mostly how far its sender runs ahead of a
+     lagging receiver, not memory pressure: backing off on it flips a
+     receiver-bound 16 KiB stream between copying and zero-copy with the
+     receiver's scheduling.  Exhaustion already falls back per record. *)
   (match Core.send t.policy ~pool:None ~off ~len ~desc ~inline with
   | Core.Fell_back -> Obs.Metrics.incr m_pool_fallbacks
   | Core.Copied | Core.Zero_copy -> ());
@@ -261,7 +361,7 @@ let send_locked t ~dom buf ~off ~len =
 
 let send t ~dom buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "Rt_sock.send";
-  t.op_slot <- dom;
+  operate t ~dom;
   Rt_token.with_held t.send_tok ~dom (fun () -> send_locked t ~dom buf ~off ~len)
 
 (* Vectored small-message send under one token hold: each enqueue_batch is
@@ -270,7 +370,7 @@ let send t ~dom buf ~off ~len =
    served. *)
 let send_burst t ~dom srcs ~n =
   if n < 0 || n > Array.length srcs then invalid_arg "Rt_sock.send_burst";
-  t.op_slot <- dom;
+  operate t ~dom;
   Rt_token.with_held t.send_tok ~dom (fun () ->
       if t.fin_tx then invalid_arg "Rt_sock.send_burst: after close";
       check_poison t;
@@ -300,12 +400,12 @@ let send_burst t ~dom srcs ~n =
 
 (* ---- recv ---- *)
 
-(* This domain's landing for descriptor pages: adopt for [dom], release
-   through its handle on the rx pool. *)
+(* This domain's landing for descriptor pages: adopt from the direction's
+   id for [dom], release through its handle on the pool. *)
 let landing t ~dom =
-  let h = Pp.domain_handle t.rx.pool in
+  let h = Pp.domain_handle pool in
   Pp.set_owner h dom;
-  Core.Owned { h; owner = dom }
+  Core.Owned { h; from = t.rx.id; owner = dom }
 
 (* Dequeue the next record and land at most [len] bytes of it; whatever
    does not fit stays in the cursor.  0 on EOF. *)
@@ -324,7 +424,7 @@ let next_record t ~dom dst ~off ~len =
       else begin
         return_pending ring;
         let n =
-          Core.land_desc t.cursor (landing t ~dom) t.rx.pool entries
+          Core.land_desc t.cursor (landing t ~dom) pool entries
             ~count:(R.desc_count_packed q) dst ~off ~len
         in
         if n = Core.lost then begin
@@ -345,6 +445,7 @@ let next_record t ~dom dst ~off ~len =
         return_pending ring;
         if R.packed_flags q land flag_fin <> 0 then begin
           t.fin_rx <- true;
+          fin_event t;
           0
         end
         else if fits then R.packed_len q
@@ -375,7 +476,7 @@ let recv_locked t ~dom dst ~off ~len =
 
 let recv t ~dom dst ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length dst then invalid_arg "Rt_sock.recv";
-  t.op_slot <- dom;
+  operate t ~dom;
   Rt_token.with_held t.recv_tok ~dom (fun () -> recv_locked t ~dom dst ~off ~len)
 
 (* ---- shutdown ---- *)
@@ -392,7 +493,8 @@ let close t ~dom =
              t.fin_tx <- true;
              while not (R.try_enqueue ~flags:flag_fin t.tx.ring fin_scratch ~off:0 ~len:0) do
                wait_tx_p t ~len:0
-             done
+             done;
+             fin_event t
            end)
      with Peer_dead -> ());
   Rt_token.release t.send_tok ~dom;
@@ -402,7 +504,7 @@ let close t ~dom =
    this endpoint from a backlog is involved in it from that instant —
    if it dies before its first send/recv, recovery must still poison the
    pair. *)
-let claim t ~dom = t.op_slot <- dom
+let claim t ~dom = operate t ~dom
 
 (* Cooperative-hold contract: a domain done operating this endpoint hands
    its tokens back so a later owner takes them without arbitration. *)
@@ -418,30 +520,36 @@ let at_eof t = t.fin_rx
 
    Runs after [Rt_token]'s reap hook (registration order = module
    dependency order), so by the time a connection is poisoned its tokens
-   are already live-or-free.  Involvement is judged from the slots that
-   actually operated each end (plus the configured peer slot); poisoning
-   first, reclaiming second, so a survivor kicked out of a park observes
-   poison before it could go look for more descriptors, and pages the
-   survivor already adopted are out of the reclaimer's reach. *)
+   are already live-or-free.  Involvement is judged from the incarnations
+   that actually operated each end (plus the configured peer's); a
+   finished pair owns nothing and is skipped.  Poisoning first, reclaiming second,
+   so a survivor kicked out of a park observes poison before it could go
+   look for more descriptors, and pages the survivor already adopted are
+   out of the reclaimer's reach.  One pass over the pool then frees the
+   dead slot's pages (staged or mid-landing), the published pages of every
+   pair it poisoned, and those of lanes abandoned since the last drain. *)
 
 let reap_conns slot =
-  let live = ref [] in
-  Mutex.lock reg_mu;
-  for i = 0 to Weak.length reg - 1 do
-    match Weak.get reg i with Some t -> live := t :: !live | None -> ()
-  done;
-  Mutex.unlock reg_mu;
-  List.iter
-    (fun t ->
-      let involved =
-        t.op_slot = slot || t.peer_slot = slot
-        || (match t.peer with Some p -> p.op_slot = slot | None -> false)
-      in
-      if involved then begin
-        poison t;
-        ignore (Pp.reclaim_owner t.tx.pool ~owner:slot);
-        ignore (Pp.reclaim_owner t.rx.pool ~owner:slot)
-      end)
-    !live
+  (* The hook runs after the epoch bump: the dead incarnation's epoch is
+     the one before.  A connection an earlier incarnation of the slot
+     operated is not this death's business. *)
+  let dead = Rt_dom.epoch slot - 1 in
+  let was s e = s = slot && e = dead in
+  let doomed =
+    List.fold_left
+      (fun doomed t ->
+        let involved =
+          was t.op_slot t.op_epoch || was t.peer_slot t.peer_epoch
+          || (match t.peer with Some p -> was p.op_slot p.op_epoch | None -> false)
+        in
+        if involved && not (finished t) then begin
+          poison t;
+          t.tx.id :: t.rx.id :: doomed
+        end
+        else doomed)
+      (slot :: take_orphans ())
+      (Sds_obs.Registry.to_list reg)
+  in
+  ignore (Pp.reclaim_owners pool ~owners:doomed)
 
 let () = Rt_dom.on_death reap_conns

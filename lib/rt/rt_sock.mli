@@ -1,5 +1,6 @@
-(** Real-domain sockets: one connection = an SPSC ring pair + a staging
-    {!Sds_vm.Pagepool} per direction + per-direction {!Rt_token}s.
+(** Real-domain sockets: one connection = a lane (an SPSC ring pair) +
+    per-direction {!Rt_token}s; every connection of the process stages
+    descriptor pages in one 512-page {!Sds_vm.Pagepool}.
 
     The stream rules are {!Sds_proto.Stream_core}'s, shared with the
     simulator's [Libsd]: each endpoint's adaptive {!Sds_proto.Copy_policy}
@@ -9,12 +10,23 @@
     zero-length [flag_fin] record carries EOF.  Every pair registers in
     the [rt_conn] flight-recorder section.
 
+    A connection both of whose ends sent FIN and dequeued the peer's FIN
+    is finished: unless poisoned, its lane goes to a bounded free list the
+    next [pair] takes from, so connection set-up costs no ring allocation.
+    A poisoned or abandoned lane is never reused.
+
+    Page ownership is per connection: a staged page carries the sending
+    slot's stamp, a published one its connection direction's id (fresh per
+    connection), and the receiver adopts only from that id.
+
     Crash compatibility (§4.3): when a domain involved in a connection
     dies, the pair is poisoned — blocking operations on the surviving end
     raise {!Peer_dead} instead of hanging (EPIPE on send, ECONNRESET on
-    recv), and the dead incarnation's in-flight staging pages are
-    reclaimed.  Receivers adopt descriptor pages before use, so adoption
-    and reclamation arbitrate atomically per page. *)
+    recv) — and the dead incarnation's pages and the pair's unadopted
+    published pages are reclaimed; a connection the dead domain was not
+    involved in keeps the pages it published.  Pages of a connection
+    dropped without being finished are reclaimed once its lane is
+    collected. *)
 
 type t
 
@@ -32,18 +44,27 @@ val max_desc_per_record : int
 val flag_fin : int
 (** Record flag carrying EOF. *)
 
-val pair :
-  ?ring_size:int -> ?pool_pages:int -> a_owner:int -> b_owner:int -> unit -> t * t
-(** A connected endpoint pair; owners are {!Rt_dom} slots holding each
-    endpoint's tokens initially ([-1] = tokens start free, taken by the
-    first operator — used for dispatched server ends). *)
+val free_lanes_max : int
+(** Bound of the recycled-lane free list (16 lanes). *)
+
+val pair : ?ring_size:int -> a_owner:int -> b_owner:int -> unit -> t * t
+(** A connected endpoint pair, on a recycled lane of [ring_size] (default
+    64 KiB) when one is free, else on a new one; owners are {!Rt_dom}
+    slots holding each endpoint's tokens initially ([-1] = tokens start
+    free, taken by the first operator — used for dispatched server ends).
+    First reclaims the pages of lanes collected unfinished. *)
+
+val lane : t -> int
+(** Serial number of the ring pair this endpoint runs on; both endpoints
+    of a pair share it, and a recycled lane keeps it. *)
 
 val send : t -> dom:int -> Bytes.t -> off:int -> len:int -> unit
 (** Stream [len] bytes as one token-held operation (blocking on ring
     credits).  One copy decision per call, driven by the payload sizes
-    alone (the per-connection pool's fill is backlog, not memory
-    pressure): on the zero-copy side the payload goes as descriptor
-    records, falling back to inline copies when the pool is exhausted. *)
+    alone: on the zero-copy side each descriptor record waits for its
+    ring room, stages its pages in the process pool and hands them over
+    to the connection direction just before the enqueue, falling back to
+    inline copies when the pool is exhausted. *)
 
 val send_burst : t -> dom:int -> (Bytes.t * int * int) array -> n:int -> unit
 (** Vectored small-message send under one token hold; each ring batch is

@@ -107,32 +107,12 @@ let set_wait_timeout_ns ns =
 
 (* ---- flight-recorder registry (weak: tokens die with their sockets) ---- *)
 
-let reg_mu = Mutex.create ()
-let reg : t Weak.t = Weak.create 512
+let reg : t Sds_obs.Registry.t = Sds_obs.Registry.create 512
 let uid_counter = ref 0
-
-let register t =
-  Mutex.lock reg_mu;
-  (try
-     let placed = ref false in
-     for i = 0 to Weak.length reg - 1 do
-       if (not !placed) && Weak.get reg i = None then begin
-         Weak.set reg i (Some t);
-         placed := true
-       end
-     done
-   with e ->
-     Mutex.unlock reg_mu;
-     raise e);
-  Mutex.unlock reg_mu
 
 let render_state () =
   let b = Buffer.create 256 in
-  Mutex.lock reg_mu;
-  for i = 0 to Weak.length reg - 1 do
-    match Weak.get reg i with
-    | None -> ()
-    | Some t ->
+  Sds_obs.Registry.iteri reg (fun _ t ->
       let s = Atomic.get t.state in
       let p = proto s in
       Buffer.add_string b
@@ -142,9 +122,7 @@ let render_state () =
            (if P.is_free p then -1 else P.holder p)
            (stamped_epoch s) (holder_dead_word s)
            (if P.has_request p then P.requester p else -1)
-           t.inflight t.handoffs (Atomic.get t.waitmask))
-  done;
-  Mutex.unlock reg_mu;
+           t.inflight t.handoffs (Atomic.get t.waitmask)));
   Buffer.contents b
 
 let () = Sds_obs.Flight.register_state "rt_token" render_state
@@ -164,7 +142,7 @@ let create ?(name = "token") ~holder () =
     { state = Atomic.make state; waitmask = Atomic.make 0; fast_owner = holder;
       inflight = 0; handoffs = 0; name; uid = !uid_counter }
   in
-  register t;
+  Sds_obs.Registry.add reg t;
   t
 
 let holder t =
@@ -257,14 +235,9 @@ let rec reap_token t =
 
 let reap_dead _slot =
   (* Snapshot the registry, then work unlocked: reaping wakes waiters and
-     never blocks, but holding [reg_mu] across CAS loops is pointless. *)
-  let live = ref [] in
-  Mutex.lock reg_mu;
-  for i = 0 to Weak.length reg - 1 do
-    match Weak.get reg i with Some t -> live := t :: !live | None -> ()
-  done;
-  Mutex.unlock reg_mu;
-  List.iter reap_token !live
+     never blocks, but holding the registry lock across CAS loops is
+     pointless. *)
+  List.iter reap_token (Sds_obs.Registry.to_list reg)
 
 let () = Rt_dom.on_death reap_dead
 

@@ -66,24 +66,7 @@ let max_handles = 64
 
 (* Live-pool registry for the flight recorder (weak, so observability never
    extends a pool's lifetime — same discipline as the ring's registry). *)
-let live_mu = Mutex.create ()
-let live : t Weak.t ref = ref (Weak.create 8)
-
-let register_live t =
-  Mutex.lock live_mu;
-  let w = !live in
-  let n = Weak.length w in
-  let rec free_slot i = if i >= n then -1 else if Weak.check w i then free_slot (i + 1) else i in
-  (match free_slot 0 with
-  | slot when slot >= 0 -> Weak.set w slot (Some t)
-  | _ ->
-    let bigger = Weak.create (2 * n) in
-    for i = 0 to n - 1 do
-      Weak.set bigger i (Weak.get w i)
-    done;
-    Weak.set bigger n (Some t);
-    live := bigger);
-  Mutex.unlock live_mu
+let live : t Sds_obs.Registry.t = Sds_obs.Registry.create 8
 
 let create ?(pages = default_pages) () =
   if pages <= 0 then invalid_arg "Pagepool.create: pages must be positive";
@@ -115,7 +98,7 @@ let create ?(pages = default_pages) () =
       dls = None;
     }
   in
-  register_live t;
+  Sds_obs.Registry.add live t;
   t
 
 let pages t = t.npages
@@ -123,32 +106,56 @@ let buffer t = t.data
 let page_base page = page * page_size
 
 let handle t =
-  Mutex.lock t.mu;
-  if t.nhandles >= max_handles then begin
-    Mutex.unlock t.mu;
-    invalid_arg "Pagepool.handle: too many handles"
-  end;
-  let h = { pool = t; ids = Array.make cache_cap 0; top = 0; owner = no_owner } in
-  t.handles.(t.nhandles) <- Some h;
-  t.nhandles <- t.nhandles + 1;
-  Mutex.unlock t.mu;
-  h
+  Mutex.protect t.mu (fun () ->
+      let rec free_slot i =
+        if i = max_handles then invalid_arg "Pagepool.handle: too many handles"
+        else match t.handles.(i) with None -> i | Some _ -> free_slot (i + 1)
+      in
+      let slot = free_slot 0 in
+      let h = { pool = t; ids = Array.make cache_cap 0; top = 0; owner = no_owner } in
+      t.handles.(slot) <- Some h;
+      t.nhandles <- t.nhandles + 1;
+      h)
 
-(* The calling domain's handle, created on first use.  The sim runs many
-   processes on one domain — they share one handle, which is exactly the
-   single-owner condition (one OS thread). *)
+(* A domain's exit hands its handle back: the cached free pages go to the
+   shared stack (else they would be stranded with the dead cache) and the
+   slot is reused by the next [handle]. *)
+let retire h =
+  let t = h.pool in
+  Mutex.protect t.mu (fun () ->
+      while h.top > 0 do
+        h.top <- h.top - 1;
+        t.free.(t.free_top) <- h.ids.(h.top);
+        t.free_top <- t.free_top + 1
+      done;
+      Array.iteri
+        (fun i -> function Some h' when h' == h -> t.handles.(i) <- None | _ -> ())
+        t.handles;
+      t.nhandles <- t.nhandles - 1)
+
+(* The calling domain's handle, created on first use and retired when the
+   domain exits.  The sim runs many processes on one domain — they share
+   one handle, which is exactly the single-owner condition (one OS
+   thread). *)
 let domain_handle t =
-  match t.dls with
-  | Some key -> Domain.DLS.get key
-  | None ->
-    Mutex.lock t.mu;
-    (match t.dls with
-    | Some _ -> ()
-    | None -> t.dls <- Some (Domain.DLS.new_key (fun () -> handle t)));
-    Mutex.unlock t.mu;
-    (match t.dls with
-    | Some key -> Domain.DLS.get key
-    | None -> assert false)
+  let key =
+    match t.dls with
+    | Some key -> key
+    | None ->
+      Mutex.protect t.mu (fun () ->
+          match t.dls with
+          | Some key -> key
+          | None ->
+            let key =
+              Domain.DLS.new_key (fun () ->
+                  let h = handle t in
+                  Domain.at_exit (fun () -> retire h);
+                  h)
+            in
+            t.dls <- Some key;
+            key)
+  in
+  Domain.DLS.get key
 
 (* ---- free-list movement ------------------------------------------------ *)
 
@@ -271,21 +278,32 @@ let owner t page =
   let o = Atomic.get t.owners.(page) in
   if o < 0 then no_owner else o
 
-(* Transfer ownership of an in-flight page to [owner] — the receiver side
-   of a descriptor handoff calls this before touching the payload, so a
-   crash of the *sender* after publication can no longer reclaim the page
-   out from under the survivor.  Fails (false) iff a reclaimer already
-   claimed the page ([reclaiming] marker) or the page is free. *)
-let try_adopt t ~page ~owner =
-  if owner < 0 then invalid_arg "Pagepool.try_adopt: negative owner";
+(* Publish a staged page: re-stamp it from [from] (the staging slot) to
+   [to_] (the id its receiver adopts from).  The CAS is the arbitration
+   with [reclaim_owners]: [false] iff a reclaimer already took the page
+   off [from], and then the payload is gone. *)
+let hand_over t ~page ~from ~to_ =
+  if from < 0 || to_ < 0 then invalid_arg "Pagepool.hand_over: negative owner";
+  check_page t page "Pagepool.hand_over: bad page id";
+  Atomic.get t.rc.(page) > 0 && Atomic.compare_and_set t.owners.(page) from to_
+
+(* Take ownership of an in-flight page published under [from] — the
+   receiver side of a descriptor handoff calls this before touching the
+   payload, so a crash of the *sender* after publication can no longer
+   reclaim the page out from under the survivor.  A page under any other
+   stamp is not this handoff's page (it was reclaimed and perhaps
+   allocated again), so it is refused; so is one a reclaimer holds
+   ([reclaiming]) or a free one.  Re-adopting a page already ours is a
+   no-op. *)
+let try_adopt t ~page ~from ~owner =
+  if from < 0 || owner < 0 then invalid_arg "Pagepool.try_adopt: negative owner";
   check_page t page "Pagepool.try_adopt: bad page id";
   let rec go () =
     let o = Atomic.get t.owners.(page) in
-    if o = reclaiming then false
-    else if Atomic.get t.rc.(page) <= 0 then false
+    if Atomic.get t.rc.(page) <= 0 then false
     else if o = owner then true
-    else if Atomic.compare_and_set t.owners.(page) o owner then true
-    else go ()
+    else if o <> from then false
+    else Atomic.compare_and_set t.owners.(page) from owner || go ()
   in
   go ()
 
@@ -299,21 +317,22 @@ let owned_pages t ~owner =
   done;
   !out
 
-(* Force-free every page a dead owner still holds.  Races against
-   survivors adopting in-flight pages: the owner-cell CAS to the
-   [reclaiming] marker is the arbitration — exactly one of adopter and
-   reclaimer wins each page.  The rc exchange (not decrement) forgets any
-   extra refs the dead incarnation held via [incref]; survivors must have
-   adopted before taking their own ref.  Idempotent: a second call finds
-   no pages stamped with [owner].  Returns the number of pages freed. *)
-let reclaim_owner t ~owner =
-  if owner < 0 then invalid_arg "Pagepool.reclaim_owner: negative owner";
+(* Force-free, in one pass over the pool, every page still stamped with
+   one of [owners] (dead incarnations, abandoned connections).  Races
+   against survivors adopting in-flight pages and senders handing staged
+   pages over: the owner-cell CAS to the [reclaiming] marker is the
+   arbitration — exactly one party wins each page, and a page that moves
+   between two of [owners] during the pass is caught under either stamp.
+   The rc exchange (not decrement) forgets any extra refs the dead
+   incarnation held via [incref]; survivors must have adopted before
+   taking their own ref.  Idempotent: a second call finds no pages
+   stamped with [owners].  Returns the number of pages freed. *)
+let reclaim_owners t ~owners =
+  if List.exists (fun o -> o < 0) owners then invalid_arg "Pagepool.reclaim_owners: negative owner";
   let freed = ref 0 in
   for page = 0 to t.npages - 1 do
-    if
-      Atomic.get t.owners.(page) = owner
-      && Atomic.compare_and_set t.owners.(page) owner reclaiming
-    then begin
+    let o = Atomic.get t.owners.(page) in
+    if o >= 0 && List.mem o owners && Atomic.compare_and_set t.owners.(page) o reclaiming then begin
       let rc = Atomic.exchange t.rc.(page) 0 in
       if rc > 0 then begin
         incr freed;
@@ -328,6 +347,8 @@ let reclaim_owner t ~owner =
     end
   done;
   !freed
+
+let reclaim_owner t ~owner = reclaim_owners t ~owners:[ owner ]
 
 (* ---- occupancy --------------------------------------------------------- *)
 
@@ -348,17 +369,10 @@ let occupancy t =
 let () =
   Sds_obs.Flight.register_state "pagepool" (fun () ->
       let b = Buffer.create 128 in
-      Mutex.lock live_mu;
-      let w = !live in
-      for i = 0 to Weak.length w - 1 do
-        match Weak.get w i with
-        | Some p ->
+      Sds_obs.Registry.iteri live (fun i p ->
           Buffer.add_string b
             (Printf.sprintf "pool=%d pages=%d free=%d handles=%d occupancy=%.3f\n" i p.npages
-               (free_pages p) p.nhandles (occupancy p))
-        | None -> ()
-      done;
-      Mutex.unlock live_mu;
+               (free_pages p) p.nhandles (occupancy p)));
       Buffer.contents b)
 
 (* ---- data access ------------------------------------------------------- *)

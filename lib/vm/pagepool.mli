@@ -36,10 +36,14 @@ type handle
     stack only in batches of [batch]. *)
 
 val handle : t -> handle
+(** A new handle in a free one of the pool's 64 handle slots; raises
+    [Invalid_argument] when all are taken. *)
 
 val domain_handle : t -> handle
 (** The calling domain's handle (Domain.DLS), created on first use — the
-    normal way the data path gets one. *)
+    normal way the data path gets one.  When the domain exits the handle
+    retires: its cached free pages go back to the shared stack and its
+    slot is free for the next [handle]. *)
 
 val no_page : int
 (** [-1]: returned by [alloc] on pool exhaustion. *)
@@ -61,14 +65,16 @@ val incref : t -> int -> unit
 
 val refcount : t -> int -> int
 
-(** {1 Crash reclamation (§4.3)}
+(** {1 Ownership and crash reclamation (§4.3)}
 
     Each page carries an owner cell stamped at allocation time with the
-    allocating handle's owner id (an {!Sds_rt.Rt_dom} slot).  When that
-    incarnation dies, [reclaim_owner] force-frees every page it still
-    holds; survivors protect in-flight pages they received by [try_adopt]ing
-    them before use.  The owner cell CAS is the arbitration — exactly one
-    of adopter and reclaimer wins each page. *)
+    allocating handle's owner id (an {!Sds_rt.Rt_dom} slot).  A sender
+    publishing a staged page [hand_over]s it to the id its receiver adopts
+    from (in [Rt_sock], one id per connection direction); the receiver
+    [try_adopt]s it from that id before use.  When an owner dies or a
+    connection is abandoned, [reclaim_owners] force-frees every page still
+    stamped with its ids.  The owner cell CAS is the arbitration — exactly
+    one of sender, adopter and reclaimer wins each page. *)
 
 val no_owner : int
 (** [-1]: the unowned stamp (free pages, or handles never given an id). *)
@@ -80,19 +86,29 @@ val owner : t -> int -> int
 (** Racy read of a page's owner stamp ([no_owner] if unowned or being
     reclaimed). *)
 
-val try_adopt : t -> page:int -> owner:int -> bool
-(** Atomically re-stamp a live page with a new owner.  [false] iff the
-    page was already reclaimed (or is free) — the payload must then be
-    treated as lost. *)
+val hand_over : t -> page:int -> from:int -> to_:int -> bool
+(** Atomically re-stamp a live page from [from] to [to_].  [false] iff
+    the page no longer carries [from] — a reclaimer took it, and the
+    payload is lost. *)
+
+val try_adopt : t -> page:int -> from:int -> owner:int -> bool
+(** Atomically re-stamp a live page published under [from] with [owner]
+    ([true] at once if it already carries [owner]).  [false] if the page
+    was reclaimed, is free, or carries any other stamp (reclaimed and
+    allocated again) — the payload must then be treated as lost. *)
 
 val owned_pages : t -> owner:int -> int list
 (** Racy snapshot of live pages stamped with [owner] (debugging aid). *)
 
+val reclaim_owners : t -> owners:int list -> int
+(** Force-free, in one pass, every live page stamped with one of
+    [owners]; returns the count freed (bumping [pool.reclaimed_pages]).
+    Idempotent; only for owners nobody can still operate under — a dead
+    {!Sds_rt.Rt_dom} incarnation, or a connection no endpoint of which is
+    reachable or unpoisoned. *)
+
 val reclaim_owner : t -> owner:int -> int
-(** Force-free every live page still stamped with [owner]; returns the
-    count freed (bumping [pool.reclaimed_pages]).  Idempotent; must only
-    be called for an owner whose incarnation is dead
-    ({!Sds_rt.Rt_dom.alive_at} is false). *)
+(** [reclaim_owners] of one owner. *)
 
 (** {1 Pressure} *)
 

@@ -360,14 +360,97 @@ let test_pool_adopt () =
   Pp.set_owner h 3;
   let page = Pp.alloc h in
   Alcotest.(check bool) "survivor adopts an in-flight page" true
-    (Pp.try_adopt pool ~page ~owner:4);
+    (Pp.try_adopt pool ~page ~from:3 ~owner:4);
   Alcotest.(check int) "ownership moved" 4 (Pp.owner pool page);
-  Alcotest.(check bool) "re-adopting is idempotent" true (Pp.try_adopt pool ~page ~owner:4);
+  Alcotest.(check bool) "re-adopting is idempotent" true
+    (Pp.try_adopt pool ~page ~from:3 ~owner:4);
   Alcotest.(check int) "the old owner's reclaim finds nothing" 0
     (Pp.reclaim_owner pool ~owner:3);
   Alcotest.(check int) "page survives the dead sender's reclaim" 1 (Pp.refcount pool page);
   Alcotest.(check int) "adopter's reclaim frees it" 1 (Pp.reclaim_owner pool ~owner:4);
-  Alcotest.(check bool) "a free page cannot be adopted" false (Pp.try_adopt pool ~page ~owner:5)
+  Alcotest.(check bool) "a free page cannot be adopted" false
+    (Pp.try_adopt pool ~page ~from:4 ~owner:5)
+
+(* Published pages are scoped to one connection direction's id: a page
+   reclaimed under that id and allocated again under another stamp cannot
+   be adopted from the old id, a sender cannot hand over a page that was
+   reclaimed, and one reclaim pass frees exactly the stamps it is given. *)
+let test_pool_handover_scoping () =
+  let pool = Pp.create ~pages:8 () in
+  let h = Pp.handle pool in
+  Pp.set_owner h 3;
+  let page = Pp.alloc h in
+  Alcotest.(check bool) "the staging slot hands the page over" true
+    (Pp.hand_over pool ~page ~from:3 ~to_:100);
+  Alcotest.(check int) "published under the direction id" 100 (Pp.owner pool page);
+  Alcotest.(check bool) "a stamp the page no longer carries cannot hand it over" false
+    (Pp.hand_over pool ~page ~from:3 ~to_:101);
+  Alcotest.(check int) "reclaimed under the direction id" 1 (Pp.reclaim_owners pool ~owners:[ 100 ]);
+  Pp.set_owner h 5;
+  let all = List.init 8 (fun _ -> Pp.alloc h) in
+  Alcotest.(check bool) "the page was allocated again" true (List.mem page all);
+  Alcotest.(check bool) "a stale descriptor cannot adopt it" false
+    (Pp.try_adopt pool ~page ~from:100 ~owner:7);
+  Alcotest.(check int) "its new stamp stands" 5 (Pp.owner pool page);
+  Alcotest.(check int) "and its reference" 1 (Pp.refcount pool page);
+  Alcotest.(check int) "free everything" 8 (Pp.reclaim_owners pool ~owners:[ 5 ]);
+  (* Staged under slot 9, reclaimed before the hand-over. *)
+  Pp.set_owner h 9;
+  let staged = Pp.alloc h in
+  Alcotest.(check int) "the dead slot's staged page is reclaimed" 1
+    (Pp.reclaim_owners pool ~owners:[ 9 ]);
+  Alcotest.(check bool) "hand_over fails on a reclaimed page" false
+    (Pp.hand_over pool ~page:staged ~from:9 ~to_:102);
+  Alcotest.(check int) "nothing in use" 8 (Pp.free_pages pool);
+  (* Two pages under each of four stamps; reclaim two of the stamps. *)
+  let by_owner =
+    List.map
+      (fun o ->
+        Pp.set_owner h o;
+        (o, [ Pp.alloc h; Pp.alloc h ]))
+      [ 1; 2; 3; 4 ]
+  in
+  Alcotest.(check int) "one pass frees the given stamps' pages" 4
+    (Pp.reclaim_owners pool ~owners:[ 2; 4 ]);
+  List.iter
+    (fun (o, pages) ->
+      let kept = o = 1 || o = 3 in
+      Alcotest.(check int)
+        (Printf.sprintf "stamp %d's pages" o)
+        (if kept then 2 else 0)
+        (List.length (Pp.owned_pages pool ~owner:o));
+      List.iter
+        (fun p ->
+          Alcotest.(check int) (Printf.sprintf "stamp %d's refcounts" o) (if kept then 1 else 0)
+            (Pp.refcount pool p))
+        pages)
+    by_owner
+
+(* Crash recovery walks every registered token and connection: the
+   registries grow instead of dropping.  With 600 tokens and 1,100
+   endpoints kept live (past the old 512- and 1024-slot tables), a token
+   whose holder dies is still freed and a connection whose owner dies is
+   still poisoned. *)
+let test_registries_keep_every_entry () =
+  let keep_tokens = Array.init 600 (fun _ -> Rt_token.create ~name:"keep" ~holder:(-1) ()) in
+  let keep_conns =
+    Array.init 550 (fun _ -> Rt_sock.pair ~ring_size:1024 ~a_owner:(-1) ~b_owner:(-1) ())
+  in
+  let late = ref None in
+  let victim =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        let tok = Rt_token.create ~name:"late" ~holder:d () in
+        let _, b = Rt_sock.pair ~ring_size:1024 ~a_owner:d ~b_owner:(-1) () in
+        late := Some (tok, b);
+        failwith "the holder dies")
+  in
+  join_quiet victim;
+  let tok, b = Option.get !late in
+  Alcotest.(check bool) "the late token's dead holder was reaped" false (Rt_token.holder_dead tok);
+  Alcotest.(check int) "the late token is free" (-1) (Rt_token.holder tok);
+  Alcotest.(check bool) "the late connection was poisoned" true (Rt_sock.poisoned b);
+  ignore (Sys.opaque_identity (keep_tokens, keep_conns))
 
 (* ---- bounded parks ------------------------------------------------------ *)
 
@@ -595,4 +678,8 @@ let suite =
       test_short_read_sender_crash;
     Alcotest.test_case "sock: a reader crash mid-record leaks nothing" `Quick
       test_short_read_reader_crash;
+    Alcotest.test_case "pool: published pages are scoped to their direction id" `Quick
+      test_pool_handover_scoping;
+    Alcotest.test_case "reaper: registries keep every token and connection" `Quick
+      test_registries_keep_every_entry;
   ]

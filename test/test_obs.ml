@@ -152,6 +152,17 @@ let test_json_snapshot () =
   Alcotest.(check bool) "schema tag" true (has "socksdirect-obs/1");
   Alcotest.(check bool) "counter present" true (has "\"test.json_counter\": 7")
 
+(* The weak registry grows instead of dropping: every live entry added
+   past its initial size is still walked. *)
+let test_registry_grows () =
+  let r = Sds_obs.Registry.create 4 in
+  let keep = Array.init 100 (fun i -> ref i) in
+  Array.iter (Sds_obs.Registry.add r) keep;
+  let seen = List.map ( ! ) (Sds_obs.Registry.to_list r) |> List.sort compare in
+  Alcotest.(check (list int)) "every live entry is walked" (List.init 100 Fun.id) seen;
+  Alcotest.(check int) "fold agrees" 100 (Sds_obs.Registry.fold r (fun _ n -> n + 1) 0);
+  ignore (Sys.opaque_identity keep)
+
 let suite =
   [
     Alcotest.test_case "counter monotonicity" `Quick test_counter_monotone;
@@ -164,4 +175,5 @@ let suite =
     Alcotest.test_case "trace CSV shape" `Quick test_trace_csv;
     Alcotest.test_case "stats percentile p0/p999" `Quick test_stats_percentile_edges;
     Alcotest.test_case "metrics JSON snapshot" `Quick test_json_snapshot;
+    Alcotest.test_case "weak registry grows instead of dropping" `Quick test_registry_grows;
   ]

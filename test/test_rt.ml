@@ -385,8 +385,8 @@ let test_sock_poison_drops_cursor () =
       ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
   Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
 
-(* A receiver that lags fills the connection's pool past the policy's
-   high water; that is backlog, not memory pressure, so every 16 KiB send
+(* A receiver that lags fills the process pool past the policy's high
+   water; [Rt_sock] decides on payload size alone, so every 16 KiB send
    still goes by descriptor (4 pages each) and the stream is intact. *)
 let test_sock_backlog_stays_zero_copy () =
   let dom = Rt_dom.self () in
@@ -679,6 +679,164 @@ let test_differential_stream () =
       Alcotest.(check int) (name "rt EOF after the stream") 0 rt.eof)
     [ 1; 2; 3 ]
 
+(* ---- one pool per process: connection-scoped page ownership ---- *)
+
+(* Slot S publishes a 16 KiB descriptor record, then slot T sends on the
+   same endpoint, so S is no longer involved in the connection.  When S
+   dies the reaper frees S's pages across the process pool; the record S
+   published carries the connection direction's stamp, so it survives and
+   the receiver reads S's bytes intact. *)
+let test_sock_dead_sender_pages_survive () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:dom () in
+  let size = Sds_proto.Copy_policy.base_threshold in
+  let src = Bytes.init size (fun i -> Char.chr ((i * 13) land 0xff)) in
+  let desc0 = Obs.Metrics.counter_value "rt.desc_sends" in
+  let published = Atomic.make false and die = Atomic.make false in
+  let s =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        Rt_sock.send a ~dom:d src ~off:0 ~len:size;
+        Rt_sock.release_tokens a ~dom:d;
+        Atomic.set published true;
+        while not (Atomic.get die) do
+          Unix.sleepf 0.0005
+        done;
+        failwith "the first sender dies")
+  in
+  while not (Atomic.get published) do
+    Unix.sleepf 0.0005
+  done;
+  Alcotest.(check int) "S's send went by descriptor" 1
+    (Obs.Metrics.counter_value "rt.desc_sends" - desc0);
+  Rt_sock.send a ~dom (Bytes.of_string "tail") ~off:0 ~len:4;
+  Atomic.set die true;
+  (match Domain.join s with
+  | () -> Alcotest.fail "S should have died"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "the pair is not poisoned" false (Rt_sock.poisoned b);
+  let dst = Bytes.create size in
+  Alcotest.(check int) "S's record arrives whole" size (Rt_sock.recv b ~dom dst ~off:0 ~len:size);
+  Alcotest.(check bool) "S's bytes intact" true (Bytes.equal dst src);
+  Alcotest.(check int) "then T's bytes" 4 (Rt_sock.recv b ~dom dst ~off:0 ~len:size);
+  Alcotest.(check string) "T's bytes intact" "tail" (Bytes.sub_string dst 0 4);
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom
+
+let[@inline never] abandon_pair ~dom ~sends =
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let size = Sds_proto.Copy_policy.base_threshold in
+  let src = Bytes.make size 'x' in
+  for _ = 1 to sends do
+    Rt_sock.send a ~dom src ~off:0 ~len:size
+  done;
+  ignore (Sys.opaque_identity b)
+
+(* A pair dropped with published, unread records gives its pages back:
+   once its lane is collected, the next [pair] reclaims them. *)
+let test_sock_abandoned_pair_pages () =
+  let dom = Rt_dom.self () in
+  (* Settle lanes earlier tests dropped, so the baseline is stable. *)
+  Gc.full_major ();
+  ignore (Sys.opaque_identity (Rt_sock.pair ~a_owner:dom ~b_owner:dom ()));
+  let in_use0 = pages_in_use () in
+  abandon_pair ~dom ~sends:8;
+  Alcotest.(check int) "8 unread 16 KiB records hold 32 pages" (in_use0 + 32) (pages_in_use ());
+  Gc.full_major ();
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  Alcotest.(check int) "the next pair reclaims them" in_use0 (pages_in_use ());
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom
+
+(* ---- recycled ring lanes ---- *)
+
+let ring_created () = Obs.Metrics.counter_value "ring.created"
+
+(* 1,000 connect/echo/close cycles through the monitor deliver every byte
+   and allocate no more rings than the lanes in flight at once plus the
+   free list can hold. *)
+let test_lanes_recycle_through_monitor () =
+  let mon = Rt_monitor.create ~workers:1 () in
+  let echoed = Atomic.make 0 in
+  let w =
+    Rt_dom.spawn (fun () ->
+        ignore (Rt_monitor.register mon ~index:0);
+        let d = Rt_dom.self () in
+        let buf = Bytes.create 64 in
+        let rec serve () =
+          match Rt_monitor.accept mon ~index:0 with
+          | None -> ()
+          | Some s ->
+            let rec echo () =
+              let n = Rt_sock.recv s ~dom:d buf ~off:0 ~len:64 in
+              if n > 0 then begin
+                Rt_sock.send s ~dom:d buf ~off:0 ~len:n;
+                ignore (Atomic.fetch_and_add echoed n);
+                echo ()
+              end
+            in
+            echo ();
+            Rt_sock.close s ~dom:d;
+            serve ()
+        in
+        serve ())
+  in
+  while Rt_monitor.registered mon < 1 do
+    Domain.cpu_relax ()
+  done;
+  let dom = Rt_dom.self () in
+  let created0 = ring_created () in
+  let back = Bytes.create 64 in
+  let cycles = 1000 in
+  for i = 1 to cycles do
+    let msg = Bytes.of_string (Printf.sprintf "ping %04d" i) in
+    let s = Rt_monitor.connect mon ~dom in
+    Rt_sock.send s ~dom msg ~off:0 ~len:(Bytes.length msg);
+    let n = Rt_sock.recv s ~dom back ~off:0 ~len:64 in
+    if Bytes.sub back 0 n <> msg then Alcotest.failf "cycle %d: bad echo" i;
+    Rt_sock.close s ~dom;
+    if Rt_sock.recv s ~dom back ~off:0 ~len:64 <> 0 then Alcotest.failf "cycle %d: no EOF" i
+  done;
+  Rt_monitor.close_listener mon;
+  Domain.join w;
+  Alcotest.(check int) "every byte echoed" (cycles * 9) (Atomic.get echoed);
+  let created = ring_created () - created0 in
+  if created > 2 * (Rt_sock.free_lanes_max + 1) then
+    Alcotest.failf "%d rings created for %d connections" created cycles
+
+(* Open, close both ways, drain both FINs: a finished pair; its lane. *)
+let finished_pair_lane ~dom =
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let dst = Bytes.create 8 in
+  Rt_sock.close a ~dom;
+  Rt_sock.close b ~dom;
+  Alcotest.(check int) "a reads EOF" 0 (Rt_sock.recv a ~dom dst ~off:0 ~len:8);
+  Alcotest.(check int) "b reads EOF" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:8);
+  Rt_sock.lane a
+
+let check_never_reused ~dom lane =
+  for _ = 1 to 2 * (Rt_sock.free_lanes_max + 1) do
+    if finished_pair_lane ~dom = lane then Alcotest.fail "the lane was handed out again"
+  done
+
+let test_lanes_poisoned_never_reused () =
+  let dom = Rt_dom.self () in
+  let finished = finished_pair_lane ~dom in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  Alcotest.(check int) "a finished pair's lane is the next pair's" finished (Rt_sock.lane a);
+  Rt_sock.poison a;
+  Rt_sock.close a ~dom;
+  Rt_sock.close b ~dom;
+  check_never_reused ~dom (Rt_sock.lane a)
+
+let test_lanes_half_closed_not_recycled () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "b reads EOF" 0 (Rt_sock.recv b ~dom (Bytes.create 8) ~off:0 ~len:8);
+  Rt_sock.release_tokens b ~dom;
+  check_never_reused ~dom (Rt_sock.lane a)
+
 let suite =
   [
     Alcotest.test_case "proto: token transitions" `Quick test_token_proto;
@@ -708,4 +866,14 @@ let suite =
       test_sock_poison_drops_cursor;
     Alcotest.test_case "sock: a backlogged pool stays zero-copy" `Quick
       test_sock_backlog_stays_zero_copy;
+    Alcotest.test_case "sock: a dead sender's published pages survive" `Quick
+      test_sock_dead_sender_pages_survive;
+    Alcotest.test_case "sock: an abandoned pair gives its pages back" `Quick
+      test_sock_abandoned_pair_pages;
+    Alcotest.test_case "lanes: 1,000 monitor connections recycle their rings" `Quick
+      test_lanes_recycle_through_monitor;
+    Alcotest.test_case "lanes: a poisoned pair's rings are never reused" `Quick
+      test_lanes_poisoned_never_reused;
+    Alcotest.test_case "lanes: a pair closed on one side is not recycled" `Quick
+      test_lanes_half_closed_not_recycled;
   ]

@@ -237,6 +237,34 @@ let test_pagepool_blit_checks () =
   Pagepool.blit_to_bytes t ~page:live ~off:(ps - 8) ~dst:caller ~dst_off:56 ~len:8;
   Alcotest.(check string) "boundary fits round trip" (String.make 64 'c') (Bytes.to_string caller)
 
+(* A domain that used a pool through [domain_handle] leaves it whole when
+   it exits: its cached free pages go back to the shared stack and its
+   handle slot is reused.  70 domains in turn — more than the 64 handle
+   slots, and each caching a batch of 64 of the 256 pages — must neither
+   run out of slots nor strand pages the main domain then cannot get. *)
+let test_pagepool_domain_handle_retires () =
+  let pages = 256 in
+  let t = Pagepool.create ~pages () in
+  for i = 1 to 70 do
+    let allocated =
+      Domain.join
+        (Domain.spawn (fun () ->
+             let h = Pagepool.domain_handle t in
+             let p = Pagepool.alloc h in
+             p <> Pagepool.no_page
+             && begin
+                  Pagepool.release h p;
+                  true
+                end))
+    in
+    Alcotest.(check bool) (Printf.sprintf "domain %d allocates" i) true allocated
+  done;
+  let h = Pagepool.domain_handle t in
+  let got = List.init pages (fun _ -> Pagepool.alloc h) in
+  Alcotest.(check bool) "the main domain allocates every page" true
+    (List.for_all (fun p -> p <> Pagepool.no_page) got);
+  List.iter (Pagepool.release h) got
+
 let suite =
   [
     Alcotest.test_case "pagepool alloc/blit/slice roundtrip" `Quick test_pagepool_roundtrip;
@@ -248,4 +276,6 @@ let suite =
     Alcotest.test_case "pagepool little-endian int roundtrip" `Quick test_pagepool_int_le_roundtrip;
     QCheck_alcotest.to_alcotest prop_blits_match_reference;
     Alcotest.test_case "pagepool blit checks precede the copy" `Quick test_pagepool_blit_checks;
+    Alcotest.test_case "pagepool domain handles retire with their domain" `Quick
+      test_pagepool_domain_handle_retires;
   ]
