@@ -7,7 +7,16 @@
     cell still holds an uncollected value.  Only [iter], [fold] and
     [to_list] read entries back with [Weak.get] (which allocates, and
     under OCaml 5 keeps the value alive through the current GC cycle), so
-    registration itself stays cheap and keeps nothing alive. *)
+    registration itself stays cheap and keeps nothing alive.
+
+    Registering is not free for the garbage collector, though.  Under
+    OCaml 5.1 a young value stored in a [Weak] array is promoted to the
+    major heap at the next minor collection, dead or alive: one million
+    [add]s of 11-word blocks promoted 10.9 of the 12.8 words allocated per
+    insert.  So register long-lived owners, never per-connection or
+    per-operation values.  [Rt_sock] registers each ring lane once and
+    reaches the lane's current connection through it, so a connection
+    that dies young stays in the minor heap. *)
 
 type 'a t
 

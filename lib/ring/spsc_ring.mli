@@ -23,6 +23,10 @@ val header_bytes : int
 val create : ?size:int -> unit -> t
 (** [size] must be a power of two [>= 64]; default 64 KiB. *)
 
+val create_unregistered : ?size:int -> unit -> t
+(** [create] left out of the [ring.*] metrics: for placeholders that never
+    carry traffic. *)
+
 val capacity : t -> int
 val credits : t -> int
 (** Producer-side view of free bytes. *)

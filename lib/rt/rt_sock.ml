@@ -11,9 +11,13 @@
    carries EOF.  Connection set-up costs queue set-up, not heap churn: a
    cleanly closed connection's lane is recycled for the next [pair].
 
-   Every endpoint registers in a process-wide registry: the [rt_conn]
-   flight-recorder section shows owners, lane, ring occupancy and byte
-   counts per connection — the "ring-pair registry per domain pair".
+   Every lane registers, once, in a process-wide registry and holds its
+   current connection: the [rt_conn] flight-recorder section shows owners,
+   lane, ring occupancy, byte counts and token holders per connection —
+   the "ring-pair registry per domain pair" — and crash recovery walks
+   the same lanes.  A connection itself registers nothing, so nothing
+   long-lived points at it once it is finished and it dies in the minor
+   heap.
 
    Page ownership is scoped to one connection by the page's owner stamp:
 
@@ -22,8 +26,10 @@
      direction id ([dir.id])   published, not yet adopted
 
    Crash compatibility (§4.3): both endpoints of a pair share one poison
-   flag.  When an involved domain dies ([Rt_dom.on_death] hook below), the
-   connection is poisoned and every parked waiter kicked: blocking
+   flag.  When a domain dies ([Rt_dom.on_death] hook below), the tokens it
+   held on any lane's connection are granted or freed, then every
+   connection it was involved in is poisoned and its parked waiters
+   kicked: blocking
    operations on either end raise [Peer_dead] (EPIPE on send, ECONNRESET
    on recv) instead of hanging.  The reaper then frees the dead slot's
    pages and the published pages of the pairs it poisoned
@@ -66,69 +72,26 @@ let m_poisoned = Obs.Metrics.counter "rt.poisoned"
 
 let pool = Pp.create ~pages:512 ()
 
-(* A lane is the ring pair a connection runs on.  A connection finished
-   cleanly (both FINs sent and dequeued, so both rings are empty) hands
-   its lane to [free_lanes] for the next [pair]; a poisoned or abandoned
-   one is never reused.  [ab_id]/[ba_id] are the current connection's
-   direction ids, read by the finaliser. *)
-type lane = { ab : R.t; ba : R.t; serial : int; mutable ab_id : int; mutable ba_id : int }
+(* A lane is the ring pair a connection runs on, and the one registered
+   owner of it: [conn] holds the current connection's [a] endpoint from
+   [pair] until the lane is recycled.  A connection finished cleanly (both
+   FINs sent and dequeued, so both rings are empty) hands its lane to
+   [free_lanes] for the next [pair]; a poisoned or abandoned one is never
+   reused, and keeps its connection until the lane itself is collected.
+   [ab_id]/[ba_id] are the current connection's direction ids, read by the
+   finaliser. *)
+type lane = {
+  ab : R.t;
+  ba : R.t;
+  serial : int;
+  mutable ab_id : int;
+  mutable ba_id : int;
+  mutable conn : t option;
+}
 
-let free_lanes_max = 16
-let lanes_mu = Mutex.create ()
-let free_lanes : lane list ref = ref [] (* guarded by [lanes_mu]; at most [free_lanes_max] *)
-let lane_serial = Atomic.make 0
+and dir = { ring : R.t; id : int  (** the stamp its published pages carry *) }
 
-(* Direction ids start above the slot ids, so the two never collide. *)
-let next_id = Atomic.make Rt_dom.max_slots
-
-(* Direction ids of lanes collected without being recycled: their
-   published, never-adopted pages still need freeing.  Pushed by
-   finalisers, which may run inside any allocation, hence a lock-free
-   list; drained by [pair] and the reaper. *)
-let orphans : int list Atomic.t = Atomic.make []
-
-let rec push_orphans ids =
-  let old = Atomic.get orphans in
-  if not (Atomic.compare_and_set orphans old (ids @ old)) then push_orphans ids
-
-let orphaned l = if l.ab_id >= 0 then push_orphans [ l.ab_id; l.ba_id ]
-let take_orphans () = Atomic.exchange orphans []
-
-let new_lane ring_size =
-  let l =
-    { ab = R.create ~size:ring_size (); ba = R.create ~size:ring_size ();
-      serial = Atomic.fetch_and_add lane_serial 1; ab_id = Pp.no_owner; ba_id = Pp.no_owner }
-  in
-  Gc.finalise orphaned l;
-  l
-
-let take_lane ring_size =
-  let fits l = R.capacity l.ab = ring_size in
-  let l =
-    Mutex.protect lanes_mu (fun () ->
-        match List.find_opt fits !free_lanes with
-        | Some l ->
-          free_lanes := List.filter (fun l' -> l' != l) !free_lanes;
-          Some l
-        | None -> None)
-  in
-  let l = match l with Some l -> l | None -> new_lane ring_size in
-  let base = Atomic.fetch_and_add next_id 2 in
-  l.ab_id <- base;
-  l.ba_id <- base + 1;
-  l
-
-let recycle l =
-  l.ab_id <- Pp.no_owner;
-  l.ba_id <- Pp.no_owner;
-  Mutex.protect lanes_mu (fun () ->
-      if List.length !free_lanes < free_lanes_max then free_lanes := l :: !free_lanes)
-
-(* ---- endpoints ---- *)
-
-type dir = { ring : R.t; id : int  (** the stamp its published pages carry *) }
-
-type t = {
+and t = {
   tx : dir;
   rx : dir;
   lane : lane;
@@ -154,23 +117,115 @@ type t = {
   mutable op_epoch : int;  (** [op_slot]'s incarnation then (racy) *)
 }
 
-(* ---- connection registry (flight recorder / crash recovery) ---- *)
+(* The lane registry, for the flight recorder and crash recovery.  Lanes
+   are long-lived, so registering one (which promotes it at the next minor
+   collection) is paid once per lane, not per connection. *)
+let reg : lane Sds_obs.Registry.t = Sds_obs.Registry.create 64
 
-let reg : t Sds_obs.Registry.t = Sds_obs.Registry.create 1024
+(* The free lanes: a stack of [free_lanes_max] slots under [lanes_mu],
+   [free_lanes.(0 .. n_free-1)] in use; empty slots hold [no_lane], so the
+   stack keeps no taken lane alive.  Taking and recycling allocate
+   nothing. *)
+let free_lanes_max = 16
+let lanes_mu = Mutex.create ()
+
+let no_lane =
+  let r = R.create_unregistered ~size:64 () in
+  { ab = r; ba = r; serial = -1; ab_id = Pp.no_owner; ba_id = Pp.no_owner; conn = None }
+
+let free_lanes = Array.make free_lanes_max no_lane
+let n_free = ref 0
+let lane_serial = Atomic.make 0
+
+(* Direction ids start above the slot ids, so the two never collide. *)
+let next_id = Atomic.make Rt_dom.max_slots
+
+(* Direction ids of lanes collected without being recycled: their
+   published, never-adopted pages still need freeing.  Pushed by
+   finalisers, which may run inside any allocation, hence a lock-free
+   list; drained by [pair] and the reaper. *)
+let orphans : int list Atomic.t = Atomic.make []
+
+let rec push_orphans ids =
+  let old = Atomic.get orphans in
+  if not (Atomic.compare_and_set orphans old (ids @ old)) then push_orphans ids
+
+let orphaned l = if l.ab_id >= 0 then push_orphans [ l.ab_id; l.ba_id ]
+let take_orphans () = Atomic.exchange orphans []
+
+let new_lane ring_size =
+  let l =
+    { ab = R.create ~size:ring_size (); ba = R.create ~size:ring_size ();
+      serial = Atomic.fetch_and_add lane_serial 1; ab_id = Pp.no_owner; ba_id = Pp.no_owner;
+      conn = None }
+  in
+  Gc.finalise orphaned l;
+  Sds_obs.Registry.add reg l;
+  l
+
+(* The free lane of [ring_size] nearest the top of the stack, or
+   [no_lane]; its slot takes the top lane. *)
+let pop_free ring_size =
+  Mutex.lock lanes_mu;
+  let i = ref (!n_free - 1) in
+  while !i >= 0 && R.capacity free_lanes.(!i).ab <> ring_size do
+    decr i
+  done;
+  let l =
+    if !i < 0 then no_lane
+    else begin
+      let l = free_lanes.(!i) in
+      decr n_free;
+      free_lanes.(!i) <- free_lanes.(!n_free);
+      free_lanes.(!n_free) <- no_lane;
+      l
+    end
+  in
+  Mutex.unlock lanes_mu;
+  l
+
+let take_lane ring_size =
+  let l = pop_free ring_size in
+  let l = if l == no_lane then new_lane ring_size else l in
+  let base = Atomic.fetch_and_add next_id 2 in
+  l.ab_id <- base;
+  l.ba_id <- base + 1;
+  l
+
+let recycle l =
+  l.ab_id <- Pp.no_owner;
+  l.ba_id <- Pp.no_owner;
+  l.conn <- None;
+  Mutex.lock lanes_mu;
+  if !n_free < free_lanes_max then begin
+    free_lanes.(!n_free) <- l;
+    incr n_free
+  end;
+  Mutex.unlock lanes_mu
+
+(* ---- the lanes' connections (flight recorder, crash recovery) ---- *)
+
 let cid_counter = ref 0
 let finished t = Atomic.get t.fins = 4
 
+(* Every lane's current connection, [a] end first. *)
+let live_conns () =
+  List.concat_map
+    (fun l -> match l.conn with Some a -> a :: Option.to_list a.peer | None -> [])
+    (Sds_obs.Registry.to_list reg)
+
 let render_conns () =
   let b = Buffer.create 256 in
-  Sds_obs.Registry.iteri reg (fun _ t ->
-      (* A finished connection's lane may carry another one by now. *)
-      let used d = if finished t then 0 else R.used d.ring in
+  List.iter
+    (fun t ->
       Buffer.add_string b
         (Printf.sprintf
            "conn#%d lane=%d peer_slot=%d op_slot=%d tx_used=%d rx_used=%d sent=%d received=%d \
-            fin_tx=%b fin_rx=%b poisoned=%b\n"
-           t.cid t.lane.serial t.peer_slot t.op_slot (used t.tx) (used t.rx) t.bytes_sent
-           t.bytes_received t.fin_tx t.fin_rx (Atomic.get t.dead)));
+            fin_tx=%b fin_rx=%b poisoned=%b send_holder=%d recv_holder=%d\n"
+           t.cid t.lane.serial t.peer_slot t.op_slot (R.used t.tx.ring) (R.used t.rx.ring)
+           t.bytes_sent t.bytes_received t.fin_tx t.fin_rx (Atomic.get t.dead)
+           (Rt_token.holder t.send_tok) (Rt_token.holder t.recv_tok)))
+    (live_conns ());
   Buffer.contents b
 
 let () = Sds_obs.Flight.register_state "rt_conn" render_conns
@@ -183,38 +238,34 @@ let[@inline] epoch_of slot = if slot < 0 then 0 else Rt_dom.epoch slot
 
 let endpoint ~owner ~peer_slot ~lane ~tx ~rx ~dead ~fins =
   incr cid_counter;
-  let t =
-    {
-      tx;
-      rx;
-      lane;
-      send_tok = Rt_token.create ~name:"send" ~holder:owner ();
-      recv_tok = Rt_token.create ~name:"recv" ~holder:owner ();
-      batch = Batch_ctl.create ();
-      policy = Copy_policy.create ();
-      stage = [||];
-      cursor = Core.cursor ();
-      bytes_sent = 0;
-      bytes_received = 0;
-      fin_rx = false;
-      fin_tx = false;
-      cid = !cid_counter;
-      peer_slot;
-      peer_epoch = epoch_of peer_slot;
-      dead;
-      fins;
-      peer = None;
-      op_slot = owner;
-      op_epoch = epoch_of owner;
-    }
-  in
-  Sds_obs.Registry.add reg t;
-  t
+  {
+    tx;
+    rx;
+    lane;
+    send_tok = Rt_token.create_unregistered ~name:"send" ~holder:owner ();
+    recv_tok = Rt_token.create_unregistered ~name:"recv" ~holder:owner ();
+    batch = Batch_ctl.create ();
+    policy = Copy_policy.create ();
+    stage = [||];
+    cursor = Core.cursor ();
+    bytes_sent = 0;
+    bytes_received = 0;
+    fin_rx = false;
+    fin_tx = false;
+    cid = !cid_counter;
+    peer_slot;
+    peer_epoch = epoch_of peer_slot;
+    dead;
+    fins;
+    peer = None;
+    op_slot = owner;
+    op_epoch = epoch_of owner;
+  }
 
 (* A connected endpoint pair on a recycled or new lane: [a]'s tx ring is
-   [b]'s rx ring and vice versa.  Pages of abandoned lanes are freed
-   first, so a process that drops connections without closing them does
-   not drain the pool. *)
+   [b]'s rx ring and vice versa, and the lane holds [a] until it is
+   recycled.  Pages of abandoned lanes are freed first, so a process that
+   drops connections without closing them does not drain the pool. *)
 let pair ?(ring_size = 64 * 1024) ~a_owner ~b_owner () =
   (match take_orphans () with [] -> () | ids -> ignore (Pp.reclaim_owners pool ~owners:ids));
   let lane = take_lane ring_size in
@@ -224,6 +275,7 @@ let pair ?(ring_size = 64 * 1024) ~a_owner ~b_owner () =
   let b = endpoint ~owner:b_owner ~peer_slot:a_owner ~lane ~tx:ba ~rx:ab ~dead ~fins in
   a.peer <- Some b;
   b.peer <- Some a;
+  lane.conn <- Some a;
   (a, b)
 
 let lane t = t.lane.serial
@@ -519,15 +571,19 @@ let at_eof t = t.fin_rx
 (* ---- crash recovery hook ----------------------------------------------
 
    Runs after [Rt_token]'s reap hook (registration order = module
-   dependency order), so by the time a connection is poisoned its tokens
-   are already live-or-free.  Involvement is judged from the incarnations
-   that actually operated each end (plus the configured peer's); a
-   finished pair owns nothing and is skipped.  Poisoning first, reclaiming second,
-   so a survivor kicked out of a park observes poison before it could go
-   look for more descriptors, and pages the survivor already adopted are
-   out of the reclaimer's reach.  One pass over the pool then frees the
-   dead slot's pages (staged or mid-landing), the published pages of every
-   pair it poisoned, and those of lanes abandoned since the last drain. *)
+   dependency order), which covers standalone tokens only; a connection's
+   tokens are reached through the lanes.  First every lane's current
+   connection has its four tokens reaped — granted to a pending requester
+   or freed when the dead incarnation held them — so by the time a
+   connection is poisoned its tokens are live-or-free.  Then involvement
+   is judged from the incarnations that actually operated each end (plus
+   the configured owners); a finished pair owns nothing and is skipped.
+   Poisoning first, reclaiming second, so a survivor kicked out of a park
+   observes poison before it could go look for more descriptors, and
+   pages the survivor already adopted are out of the reclaimer's reach.
+   One pass over the pool then frees the dead slot's pages (staged or
+   mid-landing), the published pages of every pair it poisoned, and those
+   of lanes abandoned since the last drain. *)
 
 let reap_conns slot =
   (* The hook runs after the epoch bump: the dead incarnation's epoch is
@@ -535,6 +591,12 @@ let reap_conns slot =
      operated is not this death's business. *)
   let dead = Rt_dom.epoch slot - 1 in
   let was s e = s = slot && e = dead in
+  let conns = live_conns () in
+  List.iter
+    (fun t ->
+      Rt_token.reap t.send_tok;
+      Rt_token.reap t.recv_tok)
+    conns;
   let doomed =
     List.fold_left
       (fun doomed t ->
@@ -548,7 +610,7 @@ let reap_conns slot =
         end
         else doomed)
       (slot :: take_orphans ())
-      (Sds_obs.Registry.to_list reg)
+      conns
   in
   ignore (Pp.reclaim_owners pool ~owners:doomed)
 

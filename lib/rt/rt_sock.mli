@@ -7,8 +7,10 @@
     sends a payload inline in ring records or stages it into pool pages
     that cross as page-descriptor records.  [send] may split into several
     records; [recv] returns at most one record's bytes per call, a
-    zero-length [flag_fin] record carries EOF.  Every pair registers in
-    the [rt_conn] flight-recorder section.
+    zero-length [flag_fin] record carries EOF.  Every lane registers,
+    once, in the [rt_conn] flight-recorder section and holds its current
+    connection, so a connection registers nothing and a finished one dies
+    in the minor heap.
 
     A connection both of whose ends sent FIN and dequeued the peer's FIN
     is finished: unless poisoned, its lane goes to a bounded free list the
@@ -19,11 +21,13 @@
     slot's stamp, a published one its connection direction's id (fresh per
     connection), and the receiver adopts only from that id.
 
-    Crash compatibility (§4.3): when a domain involved in a connection
-    dies, the pair is poisoned — blocking operations on the surviving end
-    raise {!Peer_dead} instead of hanging (EPIPE on send, ECONNRESET on
-    recv) — and the dead incarnation's pages and the pair's unadopted
-    published pages are reclaimed; a connection the dead domain was not
+    Crash compatibility (§4.3): when a domain dies, the tokens it held on
+    any lane's current connection are granted to their pending requester
+    or freed; then every connection it was involved in is poisoned —
+    blocking operations on the surviving end raise {!Peer_dead} instead
+    of hanging (EPIPE on send, ECONNRESET on recv) — and the dead
+    incarnation's pages and the pair's unadopted published pages are
+    reclaimed; a connection the dead domain was not
     involved in keeps the pages it published.  Pages of a connection
     dropped without being finished are reclaimed once its lane is
     collected. *)

@@ -31,7 +31,8 @@
      so even a missed wake degenerates into a liveness re-check, never a
      hang.  [Rt_dom.on_death] additionally walks the live-token registry
      and grants or frees anything the dead incarnation held, waking the
-     pending requester immediately.
+     pending requester immediately; a connection's tokens are not in the
+     registry, and [Rt_sock]'s hook reaps them through its lanes.
 
    Holds are cooperative: a grant happens at an operation boundary, so a
    domain that stops operating on a socket must [release] its tokens (the
@@ -105,7 +106,7 @@ let set_wait_timeout_ns ns =
   if ns <= 0 then invalid_arg "Rt_token.set_wait_timeout_ns";
   wait_timeout_ns := ns
 
-(* ---- flight-recorder registry (weak: tokens die with their sockets) ---- *)
+(* ---- flight-recorder registry (weak: standalone tokens only) ---- *)
 
 let reg : t Sds_obs.Registry.t = Sds_obs.Registry.create 512
 let uid_counter = ref 0
@@ -131,17 +132,22 @@ let () = Sds_obs.Flight.register_state "rt_token" render_state
    it with one CAS.  Used for dispatched endpoints whose eventual owner is
    unknown at creation (a stolen connection lands on a different worker
    than the dispatcher picked). *)
-let create ?(name = "token") ~holder () =
+let create_unregistered ?(name = "token") ~holder () =
   if holder < -1 || holder > P.max_id then invalid_arg "Rt_token.create";
   incr uid_counter;
   let state =
     if holder < 0 then compose P.free ~epoch:0
     else compose (P.held ~holder) ~epoch:(epoch_of holder)
   in
-  let t =
-    { state = Atomic.make state; waitmask = Atomic.make 0; fast_owner = holder;
-      inflight = 0; handoffs = 0; name; uid = !uid_counter }
-  in
+  { state = Atomic.make state; waitmask = Atomic.make 0; fast_owner = holder;
+    inflight = 0; handoffs = 0; name; uid = !uid_counter }
+
+(* A registered token is promoted to the major heap at the next minor
+   collection (see [Sds_obs.Registry]): right for a long-lived token, not
+   for the four a connection makes; those come from [create_unregistered]
+   and their owner reaps them. *)
+let create ?name ~holder () =
+  let t = create_unregistered ?name ~holder () in
   Sds_obs.Registry.add reg t;
   t
 
@@ -215,9 +221,12 @@ let[@sds.model "token-crash/seize"] rec try_seize t ~dom =
 
 (* Death-hook reap: grant anything the dead incarnation held to its pending
    requester (stamping the requester's epoch), or free it.  Runs on
-   whichever domain won [Rt_dom.declare_dead]; registered at module
-   initialization so it is in place before any real-domain traffic. *)
-let rec reap_token t =
+   whichever domain won [Rt_dom.declare_dead]: over the registry from the
+   hook below, registered at module initialization so it is in place
+   before any real-domain traffic, and over unregistered tokens from their
+   owner's hook ([Rt_sock] reaps its connections' tokens through its
+   lanes). *)
+let rec reap t =
   let s = Atomic.get t.state in
   if holder_dead_word s then begin
     t.fast_owner <- -1;
@@ -230,14 +239,14 @@ let rec reap_token t =
       Obs.Metrics.incr m_seized;
       wake_waiters t
     end
-    else reap_token t
+    else reap t
   end
 
 let reap_dead _slot =
   (* Snapshot the registry, then work unlocked: reaping wakes waiters and
      never blocks, but holding the registry lock across CAS loops is
      pointless. *)
-  List.iter reap_token (Sds_obs.Registry.to_list reg)
+  List.iter reap (Sds_obs.Registry.to_list reg)
 
 let () = Rt_dom.on_death reap_dead
 

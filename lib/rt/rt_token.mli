@@ -14,15 +14,28 @@
     forever; every park is additionally bounded
     ({!Sds_notify.Waiter.wait_until} + exponential backoff), and an
     {!Rt_dom.on_death} hook grants or frees everything a dead incarnation
-    held.  Every token registers with the flight recorder ([rt_token]
-    state section: holder, epoch, pending requester, in-flight count). *)
+    held.  Tokens made by [create] register with the flight recorder
+    ([rt_token] state section: holder, epoch, pending requester, in-flight
+    count) and that hook; a connection's tokens come from
+    [create_unregistered], and {!Rt_sock} shows and reaps them through its
+    lanes. *)
 
 type t
 
 val create : ?name:string -> holder:int -> unit -> t
 (** [holder] is the owning domain's {!Rt_dom} slot; [-1] creates the token
     free (first operator takes it with one CAS) — for dispatched endpoints
-    whose eventual owner is unknown at creation. *)
+    whose eventual owner is unknown at creation.  The token registers in
+    the [rt_token] flight section and the death hook's walk, so it reaches
+    the major heap at the next minor collection: for long-lived tokens. *)
+
+val create_unregistered : ?name:string -> holder:int -> unit -> t
+(** [create] without the registry: the token dies young with its owner.
+    Nothing reaps it when its holder dies, so the owner must keep it
+    reachable from something registered and call [reap] from its own
+    {!Rt_dom.on_death} hook ([Rt_sock] does, per lane).  Acquire still
+    seizes a dead-held token on its own; [reap] only spares a parked
+    requester its bounded-park wait. *)
 
 val holder : t -> int
 (** Racy snapshot of the holding slot; -1 when free. *)
@@ -54,6 +67,12 @@ val try_seize : t -> dom:int -> bool
 (** Seize a dead-held token for [dom] (the seize fence: a CAS against the
     exact word proved dead, preserving any other slot's pending request).
     [false] when the token is free, already ours, or the holder is alive.
+    Counted as [token.seized_dead]. *)
+
+val reap : t -> unit
+(** The death hook's rule for one token: when its stamped holder
+    incarnation is dead, grant it to the pending requester (stamping the
+    requester's epoch) or free it, and wake the waiters.  No-op otherwise.
     Counted as [token.seized_dead]. *)
 
 val kick : t -> unit

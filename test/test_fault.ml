@@ -426,11 +426,11 @@ let test_pool_handover_scoping () =
         pages)
     by_owner
 
-(* Crash recovery walks every registered token and connection: the
-   registries grow instead of dropping.  With 600 tokens and 1,100
-   endpoints kept live (past the old 512- and 1024-slot tables), a token
-   whose holder dies is still freed and a connection whose owner dies is
-   still poisoned. *)
+(* Crash recovery walks every registered token and lane: the registries
+   grow instead of dropping.  With 600 tokens and 550 connections (so 550
+   lanes) kept live, past the old 512- and 1024-slot tables, a token whose
+   holder dies is still freed and a connection whose owner dies is still
+   poisoned. *)
 let test_registries_keep_every_entry () =
   let keep_tokens = Array.init 600 (fun _ -> Rt_token.create ~name:"keep" ~holder:(-1) ()) in
   let keep_conns =

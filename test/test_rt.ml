@@ -837,6 +837,126 @@ let test_lanes_half_closed_not_recycled () =
   Rt_sock.release_tokens b ~dom;
   check_never_reused ~dom (Rt_sock.lane a)
 
+(* ---- connections that die young ---- *)
+
+(* pair, 64 B each way, close both ends, drain both FINs. *)
+let conn_cycle ~dom msg back =
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  Rt_sock.send a ~dom msg ~off:0 ~len:64;
+  ignore (Rt_sock.recv b ~dom back ~off:0 ~len:64);
+  Rt_sock.send b ~dom msg ~off:0 ~len:64;
+  ignore (Rt_sock.recv a ~dom back ~off:0 ~len:64);
+  Rt_sock.close a ~dom;
+  Rt_sock.close b ~dom;
+  if Rt_sock.recv a ~dom back ~off:0 ~len:64 <> 0 then Alcotest.fail "a: no EOF";
+  if Rt_sock.recv b ~dom back ~off:0 ~len:64 <> 0 then Alcotest.fail "b: no EOF"
+
+(* Only lanes are registered, and a recycled lane drops its connection, so
+   a finished connection is garbage before the next minor collection: a
+   cycle promotes (almost) nothing.  A connection registered in a weak
+   table is promoted whole, about 200 words. *)
+let test_conn_cycle_stays_minor () =
+  let dom = Rt_dom.self () in
+  let msg = Bytes.make 64 'y' and back = Bytes.create 64 in
+  for _ = 1 to 200 do
+    conn_cycle ~dom msg back
+  done;
+  let cycles = 2_000 in
+  let s0 = Gc.quick_stat () in
+  for _ = 1 to cycles do
+    conn_cycle ~dom msg back
+  done;
+  let s1 = Gc.quick_stat () in
+  let promoted = (s1.Gc.promoted_words -. s0.Gc.promoted_words) /. float_of_int cycles in
+  if promoted > 8. then Alcotest.failf "%.1f promoted words per connection cycle" promoted
+
+(* A connection's tokens are not in [Rt_token]'s registry: [Rt_sock]'s
+   death hook reaps them through the lanes before it poisons. *)
+let test_dead_holder_conn_tokens_reaped () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:dom () in
+  let held = Atomic.make (-1) in
+  let victim =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        Rt_sock.send a ~dom:d (Bytes.make 64 'd') ~off:0 ~len:64;
+        Atomic.set held (Rt_token.holder (Rt_sock.send_token a));
+        failwith "dies holding a's send token")
+  in
+  (try Domain.join victim with Failure _ -> ());
+  Alcotest.(check bool) "the victim held a's send token" true (Atomic.get held >= 0);
+  List.iteri
+    (fun i tok ->
+      Alcotest.(check bool) (Printf.sprintf "token %d is live-or-free" i) false
+        (Rt_token.holder_dead tok))
+    [ Rt_sock.send_token a; Rt_sock.recv_token a; Rt_sock.send_token b; Rt_sock.recv_token b ];
+  Alcotest.(check int) "a's send token was freed" (-1) (Rt_token.holder (Rt_sock.send_token a));
+  Alcotest.(check bool) "the pair is poisoned" true (Rt_sock.poisoned b);
+  Rt_sock.release_tokens b ~dom
+
+(* The walk judges involvement on each lane's current connection: a domain
+   that only operated the lane's previous, finished connection dies while
+   the lane carries a new one between two other domains. *)
+let test_old_operator_spares_next_conn () =
+  let lane = Atomic.make (-1) and die = Atomic.make false in
+  let old_op =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        Atomic.set lane (finished_pair_lane ~dom:d);
+        while not (Atomic.get die) do
+          Thread.delay 0.001
+        done;
+        failwith "the old operator dies")
+  in
+  let other = Atomic.make (-1) and quit = Atomic.make false in
+  let peer =
+    Rt_dom.spawn (fun () ->
+        Atomic.set other (Rt_dom.self ());
+        while not (Atomic.get quit) do
+          Thread.delay 0.001
+        done)
+  in
+  while Atomic.get lane < 0 || Atomic.get other < 0 do
+    Thread.delay 0.001
+  done;
+  let dom = Rt_dom.self () and other = Atomic.get other in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:other () in
+  Alcotest.(check int) "the new pair runs on the finished pair's lane" (Atomic.get lane)
+    (Rt_sock.lane a);
+  Atomic.set die true;
+  (try Domain.join old_op with Failure _ -> ());
+  Alcotest.(check bool) "the new connection is not poisoned" false (Rt_sock.poisoned a);
+  let holders t = (Rt_token.holder (Rt_sock.send_token t), Rt_token.holder (Rt_sock.recv_token t)) in
+  Alcotest.(check (pair int int)) "a's tokens keep their holder" (dom, dom) (holders a);
+  Alcotest.(check (pair int int)) "b's tokens keep their holder" (other, other) (holders b);
+  Atomic.set quit true;
+  Domain.join peer;
+  Rt_sock.release_tokens a ~dom
+
+(* The [rt_conn] section shows each endpoint's token holders, since a
+   connection's tokens no longer appear in the [rt_token] section. *)
+let test_flight_conn_token_holders () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:(-1) () in
+  let dump = Sds_obs.Flight.render ~reason:"test" () in
+  let has hay sub =
+    let n = String.length hay and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub hay i m = sub || go (i + 1)) in
+    go 0
+  in
+  let lines =
+    List.filter
+      (fun l -> has l (Printf.sprintf " lane=%d " (Rt_sock.lane a)))
+      (String.split_on_char '\n' dump)
+  in
+  Alcotest.(check int) "one line per endpoint" 2 (List.length lines);
+  let shows holders = List.exists (fun l -> has l holders) lines in
+  Alcotest.(check bool) "a's holders" true
+    (shows (Printf.sprintf "send_holder=%d recv_holder=%d" dom dom));
+  Alcotest.(check bool) "b's tokens are free" true (shows "send_holder=-1 recv_holder=-1");
+  Rt_sock.release_tokens a ~dom;
+  ignore (Sys.opaque_identity b)
+
 let suite =
   [
     Alcotest.test_case "proto: token transitions" `Quick test_token_proto;
@@ -876,4 +996,12 @@ let suite =
       test_lanes_poisoned_never_reused;
     Alcotest.test_case "lanes: a pair closed on one side is not recycled" `Quick
       test_lanes_half_closed_not_recycled;
+    Alcotest.test_case "lanes: a connection cycle leaves nothing for the major heap" `Quick
+      test_conn_cycle_stays_minor;
+    Alcotest.test_case "recovery: a dead holder's connection tokens are reaped" `Quick
+      test_dead_holder_conn_tokens_reaped;
+    Alcotest.test_case "recovery: a finished connection's operator spares the next" `Quick
+      test_old_operator_spares_next_conn;
+    Alcotest.test_case "flight: rt_conn shows each endpoint's token holders" `Quick
+      test_flight_conn_token_holders;
   ]
