@@ -60,7 +60,7 @@ let bechamel_tests () =
   let t_ring_batch =
     Test.make ~name:"spsc_ring batch32 64B/msg"
       (Staged.stage (fun () ->
-           ignore (Sds_ring.Spsc_ring.enqueue_batch ring_batch batch_srcs);
+           ignore (Sds_ring.Spsc_ring.enqueue_batch ring_batch batch_srcs ~pos:0 ~n:32);
            for _ = 1 to 32 do
              ignore (Sds_ring.Spsc_ring.try_dequeue_packed ~auto_credit:true ring_batch ~dst ~dst_off:0)
            done))

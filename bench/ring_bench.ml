@@ -119,7 +119,7 @@ let cross_domain_throughput ?(ring_size = 1 lsl 20) ?(batch = 64) ~payload ~msgs
         else Array.init (n - !off) (fun i -> (bufs.(!off + i), 0, payload))
       in
       (* The batched enqueue notifies the rx waiter on publication. *)
-      let accepted = R.enqueue_batch r srcs in
+      let accepted = R.enqueue_batch r srcs ~pos:0 ~n:(Array.length srcs) in
       if accepted = 0 then R.wait_tx r ~len:payload else off := !off + accepted
     done;
     sent := !sent + n
@@ -468,7 +468,7 @@ let single_domain_batched ?(ring_size = 1 lsl 20) ~payload ~msgs ~batch () =
   let iters = msgs / batch in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
-    let n = R.enqueue_batch r srcs in
+    let n = R.enqueue_batch r srcs ~pos:0 ~n:batch in
     for _ = 1 to n do
       ignore (R.try_dequeue_packed ~auto_credit:true r ~dst ~dst_off:0)
     done
@@ -508,7 +508,7 @@ let single_domain_adaptive ?(ring_size = 1 lsl 20) ~payload ~msgs () =
   while !sent < msgs do
     let want = min (B.budget ctl) (msgs - !sent) in
     let attempt = if want = Sock.max_batch then srcs else Array.sub srcs 0 want in
-    let n = R.enqueue_batch r attempt in
+    let n = R.enqueue_batch r attempt ~pos:0 ~n:want in
     B.observe ctl ~sent:n ~attempted:want ~pressure:false;
     for _ = 1 to n do
       ignore (R.try_dequeue_packed ~auto_credit:true r ~dst ~dst_off:0)

@@ -12,7 +12,9 @@
 
 type t = { mutable budget : int; min_b : int; initial : int; max_b : int }
 
-let create ?(min_b = 4) ?(initial = 32) ?(max_b = 256) () =
+let initial_budget = 32
+
+let create ?(min_b = 4) ?(initial = initial_budget) ?(max_b = 256) () =
   if min_b < 1 || initial < min_b || max_b < initial then invalid_arg "Batch_ctl.create";
   { budget = initial; min_b; initial; max_b }
 

@@ -9,6 +9,10 @@
 
 type t
 
+val initial_budget : int
+(** The resting budget [create] defaults [initial] to (32 messages): one
+    sender batch, which also bounds a receiver's batched dequeue. *)
+
 val create : ?min_b:int -> ?initial:int -> ?max_b:int -> unit -> t
 (** Defaults 4 / 32 / 256.  Raises [Invalid_argument] unless
     [1 <= min_b <= initial <= max_b]. *)

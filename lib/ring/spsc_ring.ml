@@ -408,20 +408,22 @@ let[@sds.hot] try_enqueue ?(flags = 0) t src ~off ~len =
     end [@sds.model "ring-publication/producer"]
   end
 
-(* Vectored enqueue: writes as many of [srcs] as credits allow, publishing
-   the tail once and spending credits once for the whole batch — the
-   amortization behind the paper's adaptive batching (§4.2).  Returns how
-   many messages of the prefix were enqueued. *)
-let[@sds.hot] enqueue_batch ?(flags = 0) t srcs =
+(* Vectored enqueue: writes as many of [srcs.(pos .. pos+n-1)] as credits
+   allow, publishing the tail once and spending credits once for the whole
+   batch — the amortization behind the paper's adaptive batching (§4.2).
+   The window lets a caller retry the rest of a batch without copying it.
+   Returns how many messages of the window's prefix were enqueued; an
+   invalid entry raises before anything is published. *)
+let[@sds.hot] enqueue_batch ?(flags = 0) t srcs ~pos ~n =
+  if pos < 0 || n < 0 || pos + n > Array.length srcs then invalid_arg "Spsc_ring.enqueue_batch";
   let budget = ref (Atomic.get t.credits) in
   let tail0 = Atomic.get t.tail in
   let tail = ref tail0 in
-  let n = Array.length srcs in
   let i = ref 0 in
   let bytes = ref 0 in
   let stop = ref false in
   while (not !stop) && !i < n do
-    let src, off, len = srcs.(!i) in
+    let src, off, len = srcs.(pos + !i) in
     if len < 0 || off < 0 || off + len > Bytes.length src then
       invalid_arg "Spsc_ring.enqueue_batch";
     let need = record_bytes len in
@@ -592,17 +594,34 @@ let try_dequeue_into ?auto_credit t ~dst ~dst_off =
   let p = try_dequeue_packed ?auto_credit t ~dst ~dst_off in
   if p = no_msg then None else Some (packed_len p, packed_flags p)
 
-(* Batched dequeue: up to [max] messages in arrival order.  Stops early on
-   an empty ring or an invalid header. *)
-let dequeue_batch ?(auto_credit = false) t ~max =
-  let rec go acc k =
-    if k = 0 then List.rev acc
-    else
-      match try_dequeue ~auto_credit t with
-      | None -> List.rev acc
-      | Some d -> go (d :: acc) (k - 1)
-  in
-  go [] max
+(* Batched dequeue, the receive-side twin of [enqueue_batch]: copies up to
+   [max] consecutive flag-free records, each whole and back to back, into
+   [dst.(dst_off .. dst_off+len-1)] and returns the bytes copied.  The tail
+   is read once, so the producer's line is touched once per batch, not per
+   record.  Stops at the tail snapshot, at a flagged record (FIN,
+   descriptor: the caller dispatches those), at a header that fails its
+   checksum, at a record that does not fit whole in what is left of [len],
+   and after [max] records.  Every record gets [consume]'s bookkeeping;
+   credits stay pending for the caller to return once. *)
+let[@sds.hot] drain t ~dst ~dst_off ~len ~max =
+  if dst_off < 0 || len < 0 || dst_off + len > Bytes.length dst then invalid_arg "Spsc_ring.drain";
+  let tail = Atomic.get t.tail in
+  let stop = dst_off + len in
+  let pos = ref dst_off in
+  let k = ref 0 in
+  let more = ref true in
+  while !more && !k < max && t.cons.head <> tail do
+    let p = decode_header t t.cons.head in
+    if p = no_msg || packed_flags p <> 0 || !pos + packed_len p > stop then more := false
+    else begin
+      let l = packed_len p in
+      blit_out t (t.cons.head + header_bytes) dst !pos l;
+      consume t (record_bytes l) l false;
+      pos := !pos + l;
+      incr k
+    end
+  done;
+  !pos - dst_off
 
 (* Peek the next message without consuming it: packed immediate, [no_msg]
    when empty or invalid. *)

@@ -57,11 +57,14 @@ val try_enqueue : ?flags:int -> t -> Bytes.t -> off:int -> len:int -> bool
     the message alone exceeds half the ring (the zero-copy path must be used
     for those).  Allocation-free. *)
 
-val enqueue_batch : ?flags:int -> t -> (Bytes.t * int * int) array -> int
-(** Vectored enqueue of [(src, off, len)] messages: writes the longest
-    prefix that fits in the available credits, publishing the tail and
-    spending credits once for the whole batch (§4.2 adaptive batching).
-    Returns the number of messages enqueued. *)
+val enqueue_batch : ?flags:int -> t -> (Bytes.t * int * int) array -> pos:int -> n:int -> int
+(** Vectored enqueue of the [(src, off, len)] messages
+    [srcs.(pos .. pos+n-1)]: writes the longest prefix that fits in the
+    available credits, publishing the tail and spending credits once for
+    the whole batch (§4.2 adaptive batching).  Returns the number of
+    messages enqueued.  Raises [Invalid_argument] on a bad window or entry
+    (a range outside its buffer, a message over half the ring) before
+    publishing anything.  Allocation-free. *)
 
 type dequeued = { data : Bytes.t; flags : int }
 
@@ -92,8 +95,13 @@ val peek_packed : t -> int
 (** Packed peek of the next message without consuming it; [no_msg] when
     empty or invalid. *)
 
-val dequeue_batch : ?auto_credit:bool -> t -> max:int -> dequeued list
-(** Up to [max] messages in arrival order. *)
+val drain : t -> dst:Bytes.t -> dst_off:int -> len:int -> max:int -> int
+(** Batched dequeue: copies up to [max] consecutive flag-free records, each
+    whole and back to back, into [[dst_off, dst_off+len)] and returns the
+    bytes copied.  Reads the tail once; stops at that snapshot, at a
+    flagged record (left for [peek_packed]), at a header failing its
+    checksum and at a record that does not fit whole in the rest of [len].
+    Credits stay pending ([take_credit_return]).  Allocation-free. *)
 
 val take_credit_return : t -> int
 (** Credits the consumer owes; non-zero only once half the ring has been

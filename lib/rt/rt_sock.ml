@@ -422,32 +422,33 @@ let send t ~dom buf ~off ~len =
    served. *)
 let send_burst t ~dom srcs ~n =
   if n < 0 || n > Array.length srcs then invalid_arg "Rt_sock.send_burst";
+  (* Every entry is checked before the first batch is published, so an
+     invalid burst sends nothing rather than a prefix. *)
+  let half = R.capacity t.tx.ring / 2 in
+  let bytes = ref 0 in
+  for i = 0 to n - 1 do
+    let src, off, len = srcs.(i) in
+    if off < 0 || len < 0 || off + len > Bytes.length src || R.record_bytes len > half then
+      invalid_arg "Rt_sock.send_burst";
+    bytes := !bytes + len
+  done;
+  let bytes = !bytes in
   operate t ~dom;
   Rt_token.with_held t.send_tok ~dom (fun () ->
       if t.fin_tx then invalid_arg "Rt_sock.send_burst: after close";
       check_poison t;
       let sent = ref 0 in
-      let bytes = ref 0 in
       while !sent < n do
         let want = min (Batch_ctl.budget t.batch) (n - !sent) in
-        let attempt =
-          if !sent = 0 && want = n && want = Array.length srcs then srcs
-          else Array.sub srcs !sent want
-        in
-        let k = R.enqueue_batch t.tx.ring attempt in
+        let k = R.enqueue_batch t.tx.ring srcs ~pos:!sent ~n:want in
         Batch_ctl.observe t.batch ~sent:k ~attempted:want ~pressure:(!sent + want < n);
         if k = 0 then begin
           let _, _, l = srcs.(!sent) in
           wait_tx_p t ~len:l
-        end
-        else
-          for i = !sent to !sent + k - 1 do
-            let _, _, l = srcs.(i) in
-            bytes := !bytes + l
-          done;
+        end;
         sent := !sent + k
       done;
-      t.bytes_sent <- t.bytes_sent + !bytes;
+      t.bytes_sent <- t.bytes_sent + bytes;
       Obs.Metrics.incr m_sends)
 
 (* ---- recv ---- *)
@@ -460,7 +461,17 @@ let landing t ~dom =
   Core.Owned { h; from = t.rx.id; owner = dom }
 
 (* Dequeue the next record and land at most [len] bytes of it; whatever
-   does not fit stays in the cursor.  0 on EOF. *)
+   does not fit stays in the cursor.  0 on EOF.
+
+   Receive-side batching (§4.5): an inline record that fits whole lands
+   through [R.drain] with the ready inline records behind it that also fit
+   whole, up to one sender batch ([Batch_ctl.initial_budget]) per call.
+   The bound keeps a caller that parses its buffer per message and shifts
+   the rest down after each one linear: an unbounded drain can return a
+   whole ring of records, and the shifting costs the square of that.  A
+   [max_inline] record is a slice of a split send and lands alone, as
+   every record does in the simulator's [Libsd], so both backends cut a
+   large send in the same places. *)
 let next_record t ~dom dst ~off ~len =
   let ring = t.rx.ring in
   let rec go () =
@@ -486,23 +497,27 @@ let next_record t ~dom dst ~off ~len =
         n
       end
     end
+    else if R.packed_flags p land flag_fin <> 0 then begin
+      ignore (R.try_dequeue_packed ring ~dst ~dst_off:off);
+      return_pending ring;
+      t.fin_rx <- true;
+      fin_event t;
+      0
+    end
+    else if R.packed_len p <= len then begin
+      let max = if R.packed_len p < max_inline then Batch_ctl.initial_budget else 1 in
+      let n = R.drain ring ~dst ~dst_off:off ~len ~max in
+      return_pending ring;
+      (* Empty records (a zero-length [send_burst] entry) carry no bytes:
+         only EOF returns 0. *)
+      if n = 0 then go () else n
+    end
     else begin
-      (* Inline (or FIN) record: straight into [dst] when it fits, else
-         through the cursor's scratch buffer. *)
-      let fits = R.packed_len p <= len in
-      let buf = if fits then dst else Core.scratch t.cursor (R.packed_len p) in
-      let q = R.try_dequeue_packed ring ~dst:buf ~dst_off:(if fits then off else 0) in
-      if q = R.no_msg then go ()
-      else begin
-        return_pending ring;
-        if R.packed_flags q land flag_fin <> 0 then begin
-          t.fin_rx <- true;
-          fin_event t;
-          0
-        end
-        else if fits then R.packed_len q
-        else Core.land_bytes t.cursor buf ~pos:0 ~stop:(R.packed_len q) dst ~off ~len
-      end
+      (* Longer than [len]: through the cursor's scratch buffer. *)
+      let buf = Core.scratch t.cursor (R.packed_len p) in
+      let q = R.try_dequeue_packed ring ~dst:buf ~dst_off:0 in
+      return_pending ring;
+      Core.land_bytes t.cursor buf ~pos:0 ~stop:(R.packed_len q) dst ~off ~len
     end
   in
   go ()

@@ -6,11 +6,12 @@
     simulator's [Libsd]: each endpoint's adaptive {!Sds_proto.Copy_policy}
     sends a payload inline in ring records or stages it into pool pages
     that cross as page-descriptor records.  [send] may split into several
-    records; [recv] returns at most one record's bytes per call, a
-    zero-length [flag_fin] record carries EOF.  Every lane registers,
-    once, in the [rt_conn] flight-recorder section and holds its current
-    connection, so a connection registers nothing and a finished one dies
-    in the minor heap.
+    records; [recv] returns at most one sender batch of records per call
+    ({!Sds_proto.Batch_ctl.initial_budget}), a zero-length [flag_fin]
+    record carries EOF.  Every lane registers, once, in the [rt_conn]
+    flight-recorder section and holds its current connection, so a
+    connection registers nothing and a finished one dies in the minor
+    heap.
 
     A connection both of whose ends sent FIN and dequeued the peer's FIN
     is finished: unless poisoned, its lane goes to a bounded free list the
@@ -71,15 +72,24 @@ val send : t -> dom:int -> Bytes.t -> off:int -> len:int -> unit
     inline copies when the pool is exhausted. *)
 
 val send_burst : t -> dom:int -> (Bytes.t * int * int) array -> n:int -> unit
-(** Vectored small-message send under one token hold; each ring batch is
-    bounded by the shared {!Sds_proto.Batch_ctl} budget, and a takeover
-    posted meanwhile is served at the operation boundary. *)
+(** Vectored small-message send of [srcs.(0 .. n-1)] under one token hold;
+    each ring batch is bounded by the shared {!Sds_proto.Batch_ctl}
+    budget, and a takeover posted meanwhile is served at the operation
+    boundary.  Raises [Invalid_argument], having sent nothing, when any
+    entry's range lies outside its buffer or its record exceeds half the
+    ring. *)
 
 val recv : t -> dom:int -> Bytes.t -> off:int -> len:int -> int
-(** Next stream bytes into [[off, off+len)], at most one record's worth;
-    0 at EOF.  A record longer than [len] is returned over several calls;
-    the rest of a descriptor record is copied out of its pages at the
-    first call, so no page stays held between calls. *)
+(** Next stream bytes into [[off, off+len)]; 0 at EOF.  An inline record
+    shorter than [max_inline] that fits whole brings the ready inline
+    records behind it that also fit whole, up to
+    {!Sds_proto.Batch_ctl.initial_budget} records in all; a FIN or
+    descriptor record is left for the next call, and a [max_inline] slice
+    of a split send lands alone.  An empty record (a zero-length
+    [send_burst] entry) lands nothing and the call waits on, so only EOF
+    returns 0.  A record longer than [len] is returned over several
+    calls; the rest of a descriptor record is copied out of its pages at
+    the first call, so no page stays held between calls. *)
 
 val close : t -> dom:int -> unit
 (** Enqueue EOF, then release both of this endpoint's tokens (the

@@ -210,7 +210,7 @@ let rec try_send_batch t msgs =
     let srcs =
       Array.of_list (List.map (fun m -> (ring_payload m, 0, Msg.ring_len m)) inline)
     in
-    let n = Sds_ring.Spsc_ring.enqueue_batch t.ring srcs in
+    let n = Sds_ring.Spsc_ring.enqueue_batch t.ring srcs ~pos:0 ~n:(Array.length srcs) in
     List.iteri (fun i m -> if i < n then after_enqueue t m) inline;
     match rest with
     | [] -> n

@@ -10,15 +10,26 @@
    [try_enqueue] loads the rx waiter's parked flag and every auto-credit
    return loads the tx waiter's — so the 0 here also covers [notify] on an
    unparked waiter.  The dedicated notify rows pin the spin-phase waiter
-   primitives themselves at 0. *)
+   primitives themselves at 0.
 
-let measure name iters f =
+   Every [measure] row but the one marked [~zero:false] is declared
+   allocation-free: the probe exits 1 when one of them reads above 0
+   words/op, and it runs under `dune runtest`.  The last row, a whole
+   connection cycle, is printed for its promoted column. *)
+
+(* Declared-zero rows that read above 0. *)
+let failed = ref []
+
+let measure ?(zero = true) name iters f =
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do
     f ()
   done;
   let w1 = Gc.minor_words () in
-  Printf.printf "%-44s %8.4f minor words/op\n" name ((w1 -. w0) /. float_of_int iters)
+  let per_op = (w1 -. w0) /. float_of_int iters in
+  let bad = zero && per_op > 0. in
+  Printf.printf "%-44s %8.4f minor words/op%s\n" name per_op (if bad then "   FAIL: declared 0" else "");
+  if bad then failed := name :: !failed
 
 let () =
   let module R = Sds_ring.Spsc_ring in
@@ -54,9 +65,17 @@ let () =
       R.stamp_send r;
       ignore (R.try_enqueue r payload ~off:0 ~len:64);
       ignore (R.try_dequeue_packed ~auto_credit:true r ~dst ~dst_off:0));
-  measure "enq + try_dequeue (alloc)" iters (fun () ->
+  measure ~zero:false "enq + try_dequeue (alloc)" iters (fun () ->
       ignore (R.try_enqueue r payload ~off:0 ~len:64);
       ignore (R.try_dequeue ~auto_credit:true r));
+  (* Receive-side batching: one vectored enqueue of 32 records against one
+     drain of them into a flat buffer, credits returned once. *)
+  let batch = Array.make 32 (payload, 0, 64) in
+  measure "spsc_ring drain 32 x 64 B" (iters / 32) (fun () ->
+      ignore (R.enqueue_batch r batch ~pos:0 ~n:32);
+      ignore (R.drain r ~dst ~dst_off:0 ~len:(32 * 64) ~max:32);
+      let c = R.take_credit_return r in
+      if c > 0 then R.return_credits r c);
   let c = Obs.Metrics.counter "probe.counter" in
   measure "Obs.Metrics.add" iters (fun () -> Obs.Metrics.add c 3);
   let h = Obs.Metrics.histogram "probe.hist" in
@@ -135,4 +154,10 @@ let () =
   let minor1, promoted1, _ = Gc.counters () in
   let per x0 x1 = (x1 -. x0) /. float_of_int cycles in
   Printf.printf "%-44s %8.4f minor words/op %8.4f promoted words/op\n"
-    "Rt_sock pair + close cycle" (per minor0 minor1) (per promoted0 promoted1)
+    "Rt_sock pair + close cycle" (per minor0 minor1) (per promoted0 promoted1);
+  match !failed with
+  | [] -> ()
+  | rows ->
+    Printf.printf "alloc_probe: %d row(s) declared 0 words/op allocate: %s\n" (List.length rows)
+      (String.concat ", " (List.rev rows));
+    exit 1

@@ -128,23 +128,63 @@ let test_enqueue_batch_prefix () =
   (* Each 56B message occupies 64 ring bytes; only 4 fit in a 256B ring. *)
   let m = Bytes.make 56 'q' in
   let srcs = Array.make 6 (m, 0, 56) in
-  Alcotest.(check int) "prefix enqueued" 4 (R.enqueue_batch r srcs);
+  Alcotest.(check int) "prefix enqueued" 4 (R.enqueue_batch r srcs ~pos:0 ~n:6);
   Alcotest.(check int) "no credits left" 0 (R.credits r);
   Alcotest.(check int) "batch counted" 4 (R.enqueued r);
-  let out = R.dequeue_batch ~auto_credit:true r ~max:10 in
-  Alcotest.(check int) "all out" 4 (List.length out);
-  List.iter (fun { R.data; _ } -> Alcotest.(check bytes) "content" m data) out
+  let dst = Bytes.create 1024 in
+  Alcotest.(check int) "all out" (4 * 56) (R.drain r ~dst ~dst_off:0 ~len:1024 ~max:10);
+  Alcotest.(check int) "four records" 4 (R.dequeued r);
+  Alcotest.(check bytes) "content" (Bytes.make (4 * 56) 'q') (Bytes.sub dst 0 (4 * 56))
 
-let test_dequeue_batch_max () =
+(* The window retries the rest of a batch without copying it, and a bad
+   entry anywhere in the window raises before anything is published. *)
+let test_enqueue_batch_window () =
+  let r = R.create ~size:1024 () in
+  let srcs = Array.init 5 (fun i -> (Bytes.make 8 (Char.chr (Char.code 'a' + i)), 0, 8)) in
+  Alcotest.(check int) "window enqueued" 3 (R.enqueue_batch r srcs ~pos:1 ~n:3);
+  let dst = Bytes.create 64 in
+  Alcotest.(check int) "window out" 24 (R.drain r ~dst ~dst_off:0 ~len:64 ~max:8);
+  Alcotest.(check string) "entries 1..3" "bbbbbbbbccccccccdddddddd" (Bytes.sub_string dst 0 24);
+  Alcotest.check_raises "window past the array" (Invalid_argument "Spsc_ring.enqueue_batch")
+    (fun () -> ignore (R.enqueue_batch r srcs ~pos:3 ~n:3));
+  let bad = Array.append srcs [| (Bytes.create 4, 2, 8) |] in
+  Alcotest.check_raises "bad entry" (Invalid_argument "Spsc_ring.enqueue_batch") (fun () ->
+      ignore (R.enqueue_batch r bad ~pos:0 ~n:6));
+  Alcotest.(check bool) "nothing published" true (R.is_empty r);
+  Alcotest.(check int) "nothing counted" 3 (R.enqueued r)
+
+let test_drain_max () =
   let r = R.create ~size:1024 () in
   List.iter (fun s -> ignore (enq r s)) [ "a"; "bb"; "ccc"; "dddd" ];
-  let first = R.dequeue_batch ~auto_credit:true r ~max:3 in
-  Alcotest.(check (list string)) "first three"
-    [ "a"; "bb"; "ccc" ]
-    (List.map (fun { R.data; _ } -> Bytes.to_string data) first);
-  let rest = R.dequeue_batch ~auto_credit:true r ~max:3 in
-  Alcotest.(check (list string)) "remainder" [ "dddd" ]
-    (List.map (fun { R.data; _ } -> Bytes.to_string data) rest)
+  let dst = Bytes.create 64 in
+  Alcotest.(check int) "first three" 6 (R.drain r ~dst ~dst_off:0 ~len:64 ~max:3);
+  Alcotest.(check string) "first three, back to back" "abbccc" (Bytes.sub_string dst 0 6);
+  Alcotest.(check int) "remainder" 4 (R.drain r ~dst ~dst_off:0 ~len:64 ~max:3);
+  Alcotest.(check string) "remainder bytes" "dddd" (Bytes.sub_string dst 0 4);
+  Alcotest.(check int) "empty ring" 0 (R.drain r ~dst ~dst_off:0 ~len:64 ~max:3)
+
+(* The drain stops at a flagged record, at a record that does not fit
+   whole, and at a corrupt header; credits stay pending. *)
+let test_drain_stops () =
+  let r = R.create ~size:1024 () in
+  ignore (enq r "one");
+  ignore (R.try_enqueue ~flags:0x200 r (Bytes.create 0) ~off:0 ~len:0);
+  ignore (enq r "three");
+  ignore (enq r "four");
+  let dst = Bytes.make 16 '#' in
+  Alcotest.(check int) "up to the flagged record" 3 (R.drain r ~dst ~dst_off:2 ~len:14 ~max:32);
+  Alcotest.(check string) "at dst_off" "##one" (Bytes.sub_string dst 0 5);
+  Alcotest.(check int) "flagged record stays" 0x200 (R.packed_flags (R.peek_packed r));
+  Alcotest.(check int) "credits pending" (R.record_bytes 3) (R.pending_return r);
+  ignore (R.try_dequeue_packed r ~dst ~dst_off:0);
+  Alcotest.(check int) "only whole records" 5 (R.drain r ~dst ~dst_off:0 ~len:8 ~max:32);
+  Alcotest.(check string) "three" "three" (Bytes.sub_string dst 0 5);
+  Alcotest.(check string) "nothing past the record" (String.make 11 '#') (Bytes.sub_string dst 5 11);
+  Alcotest.(check (option int)) "four stays" (Some 4) (R.peek_len r);
+  Bytes.set (R.For_testing.buf r) (R.For_testing.head_offset r) '\xff';
+  Alcotest.(check int) "corrupt header stops it" 0 (R.drain r ~dst ~dst_off:0 ~len:16 ~max:32);
+  Alcotest.check_raises "range checked" (Invalid_argument "Spsc_ring.drain") (fun () ->
+      ignore (R.drain r ~dst ~dst_off:10 ~len:7 ~max:1))
 
 (* ---- page-descriptor records (§4.6 zero-copy handoff) ---- *)
 
@@ -397,6 +437,77 @@ let prop_model_check =
         ops;
       !ok)
 
+(* [drain] against a queue model: random record sizes and flags, drains
+   with random [len] and [max], and a plain dequeue to get past a flagged
+   head.  The drain must return exactly the model's longest prefix of
+   flag-free records that fit whole in [len], at most [max] of them, and
+   leave the rest queued; credits must balance after every step. *)
+type drain_op = Enq of int * int | Drain of int * int | Pop
+
+let prop_drain_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (5, map2 (fun len f -> Enq (len, f)) (int_range 0 100) (oneofl [ 0; 0; 0; 0; 0x200; 0x100 ]));
+          (3, map2 (fun len max -> Drain (len, max)) (int_range 0 300) (int_range 0 8));
+          (1, return Pop) ])
+  in
+  let print = function
+    | Enq (l, f) -> Printf.sprintf "Enq(%d,%#x)" l f
+    | Drain (l, m) -> Printf.sprintf "Drain(%d,%d)" l m
+    | Pop -> "Pop"
+  in
+  QCheck.Test.make ~name:"spsc drain vs model queue" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let r = R.create ~size:512 () in
+      let model = Queue.create () in
+      let seq = ref 0 in
+      let dst = Bytes.create 400 in
+      let ok = ref true in
+      let settle () =
+        let c = R.take_credit_return r in
+        if c > 0 then R.return_credits r c;
+        if R.credits r + R.pending_return r + R.used r <> R.capacity r then ok := false
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Enq (len, flags) ->
+            let payload = String.init len (fun i -> Char.chr ((!seq + (i * 13)) land 0xff)) in
+            incr seq;
+            if R.try_enqueue ~flags r (Bytes.of_string payload) ~off:0 ~len then
+              Queue.push (payload, flags) model
+          | Drain (len, max) ->
+            let off = 50 in
+            Bytes.fill dst 0 (Bytes.length dst) '#';
+            let before = R.dequeued r in
+            let n = R.drain r ~dst ~dst_off:off ~len ~max in
+            let rec expect acc k room =
+              match Queue.peek_opt model with
+              | Some (p, 0) when k < max && String.length p <= room ->
+                ignore (Queue.pop model);
+                expect (acc ^ p) (k + 1) (room - String.length p)
+              | _ -> (acc, k)
+            in
+            let want, k = expect "" 0 len in
+            if n <> String.length want || R.dequeued r - before <> k then ok := false
+            else if Bytes.sub_string dst off n <> want then ok := false
+            else if
+              Bytes.sub_string dst 0 off <> String.make off '#'
+              || Bytes.sub_string dst (off + n) (Bytes.length dst - off - n)
+                 <> String.make (Bytes.length dst - off - n) '#'
+            then ok := false
+          | Pop -> (
+            match (R.try_dequeue r, Queue.take_opt model) with
+            | Some { R.data; flags }, Some (p, f) ->
+              if Bytes.to_string data <> p || flags <> f then ok := false
+            | None, None -> ()
+            | Some _, None | None, Some _ -> ok := false));
+          settle ())
+        ops;
+      !ok)
+
 (* ---- locked queue baseline ---- *)
 
 let test_locked_queue () =
@@ -441,7 +552,9 @@ let suite =
     Alcotest.test_case "spsc dequeue_into" `Quick test_dequeue_into;
     Alcotest.test_case "spsc dequeue_into too-small buffer" `Quick test_dequeue_into_too_small;
     Alcotest.test_case "spsc enqueue_batch prefix" `Quick test_enqueue_batch_prefix;
-    Alcotest.test_case "spsc dequeue_batch max" `Quick test_dequeue_batch_max;
+    Alcotest.test_case "spsc enqueue_batch window" `Quick test_enqueue_batch_window;
+    Alcotest.test_case "spsc drain max" `Quick test_drain_max;
+    Alcotest.test_case "spsc drain stops" `Quick test_drain_stops;
     Alcotest.test_case "spsc descriptor entry packing" `Quick test_desc_entry_roundtrip;
     Alcotest.test_case "spsc descriptor enqueue/dequeue" `Quick test_desc_enqueue_dequeue;
     Alcotest.test_case "spsc descriptor kind mismatches raise" `Quick test_desc_wrong_kind_raises;
@@ -453,6 +566,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fifo_intact;
     QCheck_alcotest.to_alcotest prop_credit_conservation;
     QCheck_alcotest.to_alcotest prop_model_check;
+    QCheck_alcotest.to_alcotest prop_drain_model;
     Alcotest.test_case "locked queue baseline" `Quick test_locked_queue;
     Alcotest.test_case "alloc queue fragmentation" `Quick test_alloc_queue_fragmentation;
     Alcotest.test_case "alloc queue slot limit" `Quick test_alloc_queue_slots;

@@ -121,8 +121,7 @@ let test_two_domain_batched () =
     let off = ref 0 in
     let spins = ref 0 in
     while !off < n do
-      let sub = if !off = 0 then srcs else Array.sub srcs !off (n - !off) in
-      let accepted = R.enqueue_batch r sub in
+      let accepted = R.enqueue_batch r srcs ~pos:!off ~n:(n - !off) in
       if accepted = 0 then backoff spins else off := !off + accepted
     done;
     sent := !sent + n
@@ -130,6 +129,71 @@ let test_two_domain_batched () =
   Domain.join consumer;
   Alcotest.(check bool) "batched checksums match" true (!producer_hash = !consumer_hash);
   Alcotest.(check bool) "ring drained" true (R.is_empty r)
+
+(* Batched on both ends: windowed [enqueue_batch] against [drain] into
+   buffers of random length, on a small ring so both wrap and stall on
+   credits often.  The consumer walks each drained chunk record by record
+   (every length and byte is a function of the sequence number), so a
+   reordered, torn or partly copied record fails the byte check, and it
+   checks the credit invariant after every drain.  [used] is read before
+   [credits]: the producer only lowers credits and raises the tail, so
+   the sum read in that order can only fall short of the capacity. *)
+let test_two_domain_batched_drain () =
+  let msgs = 200_000 in
+  let r = R.create ~size:(1 lsl 12) () in
+  let bad = Atomic.make 0 in
+  let consumer =
+    Domain.spawn (fun () ->
+        let st = Random.State.make [| 7 |] in
+        let dst = Bytes.create 1024 in
+        let expect = Bytes.create 128 in
+        let seq = ref 0 and spins = ref 0 in
+        while !seq < msgs do
+          let before = R.dequeued r in
+          let n = R.drain r ~dst ~dst_off:0 ~len:(Random.State.int st 1025) ~max:32 in
+          let records = R.dequeued r - before in
+          if records = 0 then backoff spins
+          else begin
+            let pos = ref 0 in
+            for _ = 1 to records do
+              let len = fill expect !seq in
+              if not (Bytes.equal (Bytes.sub dst !pos len) (Bytes.sub expect 0 len)) then
+                Atomic.incr bad;
+              pos := !pos + len;
+              incr seq
+            done;
+            if !pos <> n then Atomic.incr bad;
+            let c = R.take_credit_return r in
+            if c > 0 then R.return_credits r c;
+            let used = R.used r in
+            let credits = R.credits r in
+            if credits + R.pending_return r + used > R.capacity r then Atomic.incr bad
+          end
+        done)
+  in
+  let st = Random.State.make [| 11 |] in
+  let bufs = Array.init 48 (fun _ -> Bytes.create 128) in
+  let srcs = Array.make 48 (bufs.(0), 0, 0) in
+  let sent = ref 0 and spins = ref 0 in
+  while !sent < msgs do
+    let n = min (1 + Random.State.int st 48) (msgs - !sent) in
+    for i = 0 to n - 1 do
+      srcs.(i) <- (bufs.(i), 0, fill bufs.(i) (!sent + i))
+    done;
+    let off = ref 0 in
+    while !off < n do
+      let accepted = R.enqueue_batch r srcs ~pos:!off ~n:(n - !off) in
+      if accepted = 0 then backoff spins else off := !off + accepted
+    done;
+    sent := !sent + n
+  done;
+  Domain.join consumer;
+  Alcotest.(check int) "records in order, whole and untorn" 0 (Atomic.get bad);
+  Alcotest.(check int) "all messages crossed" msgs (R.dequeued r);
+  Alcotest.(check bool) "ring drained" true (R.is_empty r);
+  let c = R.take_credit_return r in
+  if c > 0 then R.return_credits r c;
+  Alcotest.(check int) "credit invariant" (R.capacity r) (R.credits r + R.pending_return r)
 
 (* ---- §4.6 descriptor handoff soak: refcount transfer across domains ----
 
@@ -203,5 +267,6 @@ let suite =
   [
     Alcotest.test_case "two-domain stress 1M msgs" `Quick test_two_domain_stress;
     Alcotest.test_case "two-domain batched stress" `Quick test_two_domain_batched;
+    Alcotest.test_case "two-domain batch vs drain stress" `Quick test_two_domain_batched_drain;
     Alcotest.test_case "two-domain descriptor handoff soak" `Quick test_two_domain_desc_handoff;
   ]

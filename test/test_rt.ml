@@ -232,6 +232,8 @@ let test_token_soak_4dom () =
 
 (* ---- Rt_sock ---- *)
 
+(* A byte stream promises the bytes in order, not one message per call:
+   each returned chunk is checked against the stream at its offset. *)
 let test_sock_inline_loopback () =
   let dom = Rt_dom.self () in
   let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
@@ -241,12 +243,14 @@ let test_sock_inline_loopback () =
     Rt_sock.send a ~dom msg ~off:0 ~len:(Bytes.length msg)
   done;
   Rt_sock.close a ~dom;
+  let stream = String.concat "" (List.init n_msgs (fun _ -> Bytes.to_string msg)) in
   let dst = Bytes.create Rt_sock.max_inline in
   let got = ref 0 in
   let rec drain () =
     let n = Rt_sock.recv b ~dom dst ~off:0 ~len:(Bytes.length dst) in
     if n > 0 then begin
-      Alcotest.(check string) "payload intact" (Bytes.to_string msg)
+      if !got + n > String.length stream then Alcotest.failf "%d bytes past the stream" (!got + n);
+      Alcotest.(check string) "chunk matches the stream at its offset" (String.sub stream !got n)
         (Bytes.sub_string dst 0 n);
       got := !got + n;
       drain ()
@@ -323,6 +327,163 @@ let test_sock_send_burst () =
     done
   done;
   Alcotest.(check int) "burst bytes all received" (n * payload) (Rt_sock.bytes_received b)
+
+(* ---- receive-side batching ---- *)
+
+let small_msg i len = Bytes.init len (fun j -> Char.chr (((i * 37) + j) land 0xff))
+
+(* Queued data, then a FIN: the first call lands the data and stops before
+   the FIN, the next returns 0 and latches EOF. *)
+let test_sock_drain_stops_at_fin () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let msgs = List.init 3 (fun i -> small_msg i 10) in
+  List.iter (fun m -> Rt_sock.send a ~dom m ~off:0 ~len:10) msgs;
+  Rt_sock.close a ~dom;
+  let dst = Bytes.create 1000 in
+  Alcotest.(check int) "the data first" 30 (Rt_sock.recv b ~dom dst ~off:0 ~len:1000);
+  Alcotest.(check string) "in order" (Bytes.to_string (Bytes.concat Bytes.empty msgs))
+    (Bytes.sub_string dst 0 30);
+  Alcotest.(check bool) "EOF not yet latched" false (Rt_sock.at_eof b);
+  Alcotest.(check int) "then 0" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:1000);
+  Alcotest.(check bool) "EOF latched" true (Rt_sock.at_eof b)
+
+(* The drain stops before a descriptor record; the next call lands it. *)
+let test_sock_drain_stops_at_desc () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let size = Sds_proto.Copy_policy.base_threshold in
+  let big = Bytes.init size (fun i -> Char.chr ((i * 11) land 0xff)) in
+  let desc0 = Obs.Metrics.counter_value "rt.desc_sends" in
+  Rt_sock.send a ~dom (small_msg 1 10) ~off:0 ~len:10;
+  Rt_sock.send a ~dom (small_msg 2 10) ~off:0 ~len:10;
+  Rt_sock.send a ~dom big ~off:0 ~len:size;
+  Rt_sock.send a ~dom (small_msg 3 10) ~off:0 ~len:10;
+  Alcotest.(check int) "one descriptor record" 1 (Obs.Metrics.counter_value "rt.desc_sends" - desc0);
+  let dst = Bytes.create (2 * size) in
+  Alcotest.(check int) "the inline records" 20 (Rt_sock.recv b ~dom dst ~off:0 ~len:(2 * size));
+  Alcotest.(check int) "then the descriptor record" size
+    (Rt_sock.recv b ~dom dst ~off:0 ~len:(2 * size));
+  Alcotest.(check bool) "its bytes" true (Bytes.equal (Bytes.sub dst 0 size) big);
+  Alcotest.(check int) "then the last record" 10 (Rt_sock.recv b ~dom dst ~off:0 ~len:(2 * size));
+  Alcotest.(check string) "its bytes" (Bytes.to_string (small_msg 3 10)) (Bytes.sub_string dst 0 10);
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom
+
+(* Only whole records join a call, and nothing is written outside
+   [off, off+len). *)
+let test_sock_drain_whole_records () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let msgs = List.init 3 (fun i -> small_msg i 10) in
+  List.iter (fun m -> Rt_sock.send a ~dom m ~off:0 ~len:10) msgs;
+  let dst = Bytes.make 40 '#' in
+  Alcotest.(check int) "two whole records" 20 (Rt_sock.recv b ~dom dst ~off:5 ~len:25);
+  Alcotest.(check string) "nothing before off" "#####" (Bytes.sub_string dst 0 5);
+  Alcotest.(check string) "the two records"
+    (Bytes.to_string (Bytes.concat Bytes.empty [ List.nth msgs 0; List.nth msgs 1 ]))
+    (Bytes.sub_string dst 5 20);
+  Alcotest.(check string) "nothing past the records" (String.make 15 '#') (Bytes.sub_string dst 25 15);
+  Alcotest.(check int) "the third next" 10 (Rt_sock.recv b ~dom dst ~off:0 ~len:40);
+  Alcotest.(check string) "its bytes" (Bytes.to_string (List.nth msgs 2)) (Bytes.sub_string dst 0 10);
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom
+
+(* One call lands at most one sender batch. *)
+let test_sock_drain_one_batch () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let srcs = Array.init 33 (fun i -> (small_msg i 64, 0, 64)) in
+  Rt_sock.send_burst a ~dom srcs ~n:33;
+  let dst = Bytes.create 8192 in
+  let calls0 = Obs.Metrics.counter_value "rt.recvs" in
+  Alcotest.(check int) "32 records" (32 * 64) (Rt_sock.recv b ~dom dst ~off:0 ~len:8192);
+  Alcotest.(check int) "then the 33rd" 64 (Rt_sock.recv b ~dom dst ~off:0 ~len:8192);
+  Alcotest.(check string) "its bytes" (Bytes.to_string (small_msg 32 64)) (Bytes.sub_string dst 0 64);
+  Alcotest.(check int) "two calls counted" 2 (Obs.Metrics.counter_value "rt.recvs" - calls0);
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom
+
+(* Sixteen rings' worth of small records through a receiver on another
+   domain that drains into a large buffer: credits come back in time and
+   every byte arrives in order. *)
+let test_sock_drain_no_credit_wedge () =
+  let dom = Rt_dom.self () in
+  let ring_size = 4096 in
+  let a, b = Rt_sock.pair ~ring_size ~a_owner:dom ~b_owner:(-1) () in
+  let total = 16 * ring_size in
+  let byte i = Char.chr ((i * 7) land 0xff) in
+  let receiver =
+    Rt_dom.spawn (fun () ->
+        let d = Rt_dom.self () in
+        let dst = Bytes.create 8192 in
+        let got = ref 0 and bad = ref 0 in
+        let rec go () =
+          let n = Rt_sock.recv b ~dom:d dst ~off:0 ~len:(Bytes.length dst) in
+          if n > 0 then begin
+            for i = 0 to n - 1 do
+              if Bytes.get dst i <> byte (!got + i) then incr bad
+            done;
+            got := !got + n;
+            go ()
+          end
+        in
+        go ();
+        (!got, !bad))
+  in
+  let stream = Bytes.init total byte in
+  let burst = 24 and size = 40 in
+  let srcs = Array.make burst (stream, 0, size) in
+  let pos = ref 0 in
+  while !pos < total do
+    let n = min burst ((total - !pos) / size) in
+    for i = 0 to n - 1 do
+      srcs.(i) <- (stream, !pos + (i * size), size)
+    done;
+    Rt_sock.send_burst a ~dom srcs ~n;
+    pos := !pos + (n * size);
+    if n = 0 then begin
+      Rt_sock.send a ~dom stream ~off:!pos ~len:(total - !pos);
+      pos := total
+    end
+  done;
+  Rt_sock.close a ~dom;
+  let got, bad = Domain.join receiver in
+  Alcotest.(check int) "every byte arrived" total got;
+  Alcotest.(check int) "in order" 0 bad
+
+(* A zero-length burst entry is an empty record: [recv] passes over it
+   and returns 0 only at EOF. *)
+let test_sock_empty_record_not_eof () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let m = Bytes.of_string "hi" in
+  let dst = Bytes.create 64 in
+  Rt_sock.send_burst a ~dom [| (m, 0, 0) |] ~n:1;
+  Rt_sock.send a ~dom m ~off:0 ~len:2;
+  Alcotest.(check int) "the bytes behind it" 2 (Rt_sock.recv b ~dom dst ~off:0 ~len:64);
+  Rt_sock.send_burst a ~dom [| (m, 0, 0) |] ~n:1;
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "then EOF" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:64);
+  Alcotest.(check bool) "a real EOF" true (Rt_sock.at_eof b)
+
+(* A burst with one bad entry is refused whole: nothing reaches the
+   peer, even though the entries before it would fill several batches. *)
+let test_sock_burst_invalid_sends_nothing () =
+  let dom = Rt_dom.self () in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  let m = Bytes.make 64 'v' in
+  let srcs = Array.make 40 (m, 0, 64) in
+  srcs.(35) <- (m, 32, 64);
+  Alcotest.check_raises "bad range" (Invalid_argument "Rt_sock.send_burst") (fun () ->
+      Rt_sock.send_burst a ~dom srcs ~n:40);
+  srcs.(35) <- (Bytes.create (40 * 1024), 0, 40 * 1024);
+  Alcotest.check_raises "over half the ring" (Invalid_argument "Rt_sock.send_burst") (fun () ->
+      Rt_sock.send_burst a ~dom srcs ~n:40);
+  Alcotest.(check int) "bytes_sent" 0 (Rt_sock.bytes_sent a);
+  Rt_sock.close a ~dom;
+  Alcotest.(check int) "the peer sees only EOF" 0 (Rt_sock.recv b ~dom (Bytes.create 4096) ~off:0 ~len:4096);
+  Alcotest.(check int) "bytes_received" 0 (Rt_sock.bytes_received b)
 
 (* A record longer than [len] comes back over several calls: [recv] never
    returns more than [len] nor writes outside [off, off+len). *)
@@ -970,6 +1131,16 @@ let suite =
     Alcotest.test_case "sock: inline loopback + EOF" `Quick test_sock_inline_loopback;
     Alcotest.test_case "sock: descriptor path cross-domain" `Quick test_sock_desc_path;
     Alcotest.test_case "sock: vectored burst send" `Quick test_sock_send_burst;
+    Alcotest.test_case "sock: an invalid burst sends nothing" `Quick
+      test_sock_burst_invalid_sends_nothing;
+    Alcotest.test_case "sock: an empty record is not EOF" `Quick test_sock_empty_record_not_eof;
+    Alcotest.test_case "drain: stops before a FIN" `Quick test_sock_drain_stops_at_fin;
+    Alcotest.test_case "drain: stops before a descriptor record" `Quick
+      test_sock_drain_stops_at_desc;
+    Alcotest.test_case "drain: whole records inside off+len" `Quick test_sock_drain_whole_records;
+    Alcotest.test_case "drain: one call lands one sender batch" `Quick test_sock_drain_one_batch;
+    Alcotest.test_case "drain: a ring-sized stream never wedges on credits" `Quick
+      test_sock_drain_no_credit_wedge;
     Alcotest.test_case "prefork: echo smoke" `Quick test_prefork_echo;
     Alcotest.test_case "prefork: dispatch invariants" `Quick test_prefork_invariants;
     Alcotest.test_case "prefork: zero-copy payloads" `Quick test_prefork_zero_copy;

@@ -150,7 +150,7 @@ let test_ring_soak_correlation () =
       if R.try_enqueue r buf ~off:0 ~len:64 then incr sent else R.wait_tx r ~len:64
     | 1 ->
       let want = min 4 (msgs - !sent) in
-      let n = R.enqueue_batch r (if want = 4 then srcs else Array.sub srcs 0 want) in
+      let n = R.enqueue_batch r srcs ~pos:0 ~n:want in
       if n = 0 then R.wait_tx r ~len:64 else sent := !sent + n
     | _ ->
       if R.try_enqueue_descs r descs ~n:2 then incr sent else R.wait_tx r ~len:16
