@@ -495,19 +495,18 @@ let single_domain_batched ?(ring_size = 1 lsl 20) ~payload ~msgs ~batch () =
    old always-double controller climbed to 256 and paid an L1-locality
    penalty for it. *)
 let single_domain_adaptive ?(ring_size = 1 lsl 20) ~payload ~msgs () =
-  let module Sock = Socksdirect.Sock in
   let module B = Sds_proto.Batch_ctl in
   let r = R.create ~size:ring_size () in
   let srcs =
-    Array.init Sock.max_batch (fun _ -> (Bytes.create (max payload 1), 0, payload))
+    Array.init B.max_budget (fun _ -> (Bytes.create (max payload 1), 0, payload))
   in
   let dst = Bytes.create (max payload 1) in
-  let ctl = B.create ~min_b:Sock.min_batch ~initial:Sock.initial_batch ~max_b:Sock.max_batch () in
+  let ctl = B.create () in
   let sent = ref 0 in
   let t0 = Unix.gettimeofday () in
   while !sent < msgs do
     let want = min (B.budget ctl) (msgs - !sent) in
-    let attempt = if want = Sock.max_batch then srcs else Array.sub srcs 0 want in
+    let attempt = if want = B.max_budget then srcs else Array.sub srcs 0 want in
     let n = R.enqueue_batch r attempt ~pos:0 ~n:want in
     B.observe ctl ~sent:n ~attempted:want ~pressure:false;
     for _ = 1 to n do

@@ -217,17 +217,13 @@ let tx_prework th (tx : Sock.chan_tx) =
 (* Send one message over the socket's tx transport, blocking on the ring's
    credit flow control.  The per-message CPU cost lives in the channel. *)
 let rec send_msg th (s : Sock.t) msg =
-  match Sock.tx_exn s with
-  | Sock.Tx_chan tx -> (
-    tx_prework th tx;
-    match Shm_chan.try_send tx.Sock.chan msg with
-    | Shm_chan.Sent -> ()
-    | Shm_chan.Full ->
-      (match Waitq.wait (Shm_chan.tx_waitq tx.Sock.chan) with _ -> ());
-      send_msg th s msg)
-  | Sock.Tx_kernel (kproc, kfd) ->
-    let b = Msg.to_bytes msg in
-    ignore (Kernel.send kproc kfd b ~off:0 ~len:(Bytes.length b))
+  let tx = Sock.tx_exn s in
+  tx_prework th tx;
+  match Shm_chan.try_send tx.Sock.chan msg with
+  | Shm_chan.Sent -> ()
+  | Shm_chan.Full ->
+    (match Waitq.wait (Shm_chan.tx_waitq tx.Sock.chan) with _ -> ());
+    send_msg th s msg
 
 (* First [n] elements of [l] (all of [l] when shorter), plus the rest. *)
 let split_budget n l =
@@ -245,38 +241,37 @@ let split_budget n l =
 
    §4.5 adaptive batch sizing: each vectored enqueue is bounded by the tx
    direction's [Sds_proto.Batch_ctl] budget, shared with the real-domain
-   backend.  The budget rests at [Sock.initial_batch], halves only on an
-   observed ring-full (zero acceptance), and grows toward [Sock.max_batch]
-   only while an overflow backlog signals pressure. *)
+   backend.  The budget rests at [Batch_ctl.initial_budget], halves only
+   on an observed ring-full (zero acceptance), and grows toward
+   [Batch_ctl.max_budget] only while an overflow backlog signals
+   pressure. *)
 let rec send_msgs th (s : Sock.t) msgs =
   match msgs with
   | [] -> ()
-  | _ -> (
-    match Sock.tx_exn s with
-    | Sock.Tx_chan tx ->
-      tx_prework th tx;
-      let batch, overflow = split_budget (Sds_proto.Batch_ctl.budget tx.Sock.batch) msgs in
-      let n = Shm_chan.try_send_batch tx.Sock.chan batch in
-      let attempted = List.length batch in
-      Sds_proto.Batch_ctl.observe tx.Sock.batch ~sent:n ~attempted
-        ~pressure:(match overflow with [] -> false | _ :: _ -> true);
-      if n = attempted then begin
-        match overflow with
-        | [] -> ()
-        | _ -> send_msgs th s overflow
-      end
-      else begin
-        let rest = List.filteri (fun i _ -> i >= n) msgs in
-        (* Park only when an attempt made no progress at all.  A partial
-           acceptance yields sim time (per-message bookkeeping), so the
-           receiver's credit-return broadcast may already have fired —
-           parking then would lose the wakeup.  Retrying is the credit
-           re-check; a zero-progress attempt has no yield point between
-           the check and the wait, so the broadcast cannot be missed. *)
-        if n = 0 then ignore (Waitq.wait (Shm_chan.tx_waitq tx.Sock.chan));
-        send_msgs th s rest
-      end
-    | Sock.Tx_kernel _ -> List.iter (fun m -> send_msg th s m) msgs)
+  | _ ->
+    let tx = Sock.tx_exn s in
+    tx_prework th tx;
+    let batch, overflow = split_budget (Sds_proto.Batch_ctl.budget tx.Sock.batch) msgs in
+    let n = Shm_chan.try_send_batch tx.Sock.chan batch in
+    let attempted = List.length batch in
+    Sds_proto.Batch_ctl.observe tx.Sock.batch ~sent:n ~attempted
+      ~pressure:(match overflow with [] -> false | _ :: _ -> true);
+    if n = attempted then begin
+      match overflow with
+      | [] -> ()
+      | _ -> send_msgs th s overflow
+    end
+    else begin
+      let rest = List.filteri (fun i _ -> i >= n) msgs in
+      (* Park only when an attempt made no progress at all.  A partial
+         acceptance yields sim time (per-message bookkeeping), so the
+         receiver's credit-return broadcast may already have fired —
+         parking then would lose the wakeup.  Retrying is the credit
+         re-check; a zero-progress attempt has no yield point between the
+         check and the wait, so the broadcast cannot be missed. *)
+      if n = 0 then ignore (Waitq.wait (Shm_chan.tx_waitq tx.Sock.chan));
+      send_msgs th s rest
+    end
 
 (* Blocking wait for the next inbound message: poll, yield-rotate on the
    core, then drop to interrupt mode (§4.4).  On exit the core baton is
@@ -305,11 +300,8 @@ and next_msg_inner th (s : Sock.t) =
     in
     Sds_notify.Policy.begin_wait pol;
     let rec poll_phase () =
-      if Sock.poll_rx s && not (Queue.is_empty s.Sock.incoming) then begin
-        Sds_notify.Policy.on_success pol;
-        Some (Queue.pop s.Sock.incoming)
-      end
-      else if not (Queue.is_empty s.Sock.incoming) then begin
+      ignore (Sock.poll_rx s);
+      if not (Queue.is_empty s.Sock.incoming) then begin
         Sds_notify.Policy.on_success pol;
         Some (Queue.pop s.Sock.incoming)
       end
@@ -342,10 +334,9 @@ and next_msg_inner th (s : Sock.t) =
   end
 
 and enter_interrupt th (s : Sock.t) =
-  s.Sock.rx_interrupt <- true;
   Cpu.release th.cpu;
   match s.Sock.rx with
-  | Some (Sock.Rx_chan chan) ->
+  | Some chan ->
     Shm_chan.set_mode chan Shm_chan.Interrupt;
     let monitor = th.ctx.monitor in
     Shm_chan.set_interrupt_hook chan (fun c ->
@@ -359,13 +350,12 @@ and enter_interrupt th (s : Sock.t) =
                    Shm_chan.set_mode c Shm_chan.Polling;
                    Waitq.signal s.Sock.rx_wq);
              }))
-  | _ -> ()
+  | None -> ()
 
 and leave_interrupt _th (s : Sock.t) =
-  s.Sock.rx_interrupt <- false;
   match s.Sock.rx with
-  | Some (Sock.Rx_chan chan) -> Shm_chan.set_mode chan Shm_chan.Polling
-  | _ -> ()
+  | Some chan -> Shm_chan.set_mode chan Shm_chan.Polling
+  | None -> ()
 
 (* Consume control messages; returns true if [msg] was control. *)
 let handle_control (s : Sock.t) msg =
@@ -388,10 +378,9 @@ let link_pairing (pairing : Monitor.pairing) =
 
 let attach_client th fd (s : Sock.t) reply =
   match reply with
-  | Monitor.Sds_queues (tx, rx, deliver_ref, pairing) ->
+  | Monitor.Sds_queues (tx, rx, pairing) ->
     s.Sock.tx <- Some tx;
     s.Sock.rx <- Some rx;
-    deliver_ref := Some (Sock.deliver s);
     pairing.Monitor.c_sock <- Some s;
     link_pairing pairing;
     s.Sock.state <- Sock.Wait_server;
@@ -443,7 +432,6 @@ let accept_entry th (entry : Monitor.syn_entry) ~port =
   s.Sock.local_port <- port;
   s.Sock.peer_host <- entry.Monitor.syn_client_host;
   s.Sock.peer_port <- entry.Monitor.syn_client_port;
-  entry.Monitor.syn_deliver := Some (Sock.deliver s);
   entry.Monitor.syn_pairing.Monitor.s_sock <- Some s;
   link_pairing entry.Monitor.syn_pairing;
   s.Sock.state <- Sock.Wait_client;
@@ -539,18 +527,15 @@ let send th fd buf ~off ~len =
     Obs.Metrics.add m_send_bytes len;
     Obs.Metrics.observe h_send_size len;
     Token.with_held s.Sock.send_token ~tid:th.tid (fun () ->
-        (match s.Sock.tx with
-        | Some (Sock.Tx_kernel (kproc, kfd)) -> ignore (Kernel.send kproc kfd buf ~off ~len)
-        | Some (Sock.Tx_chan _) | None -> (
-          match send_records th s buf ~off ~len with
-          | Core.Zero_copy ->
-            s.Sock.zerocopy_sends <- s.Sock.zerocopy_sends + 1;
-            Obs.Metrics.incr m_zerocopy_sends
-          | Core.Fell_back ->
-            (* Pool exhausted: Libra fallback to the copy path. *)
-            Obs.Metrics.incr m_pool_fallbacks;
-            Obs.Trace.emit Obs.Trace.Fallback
-          | Core.Copied -> ()));
+        (match send_records th s buf ~off ~len with
+        | Core.Zero_copy ->
+          s.Sock.zerocopy_sends <- s.Sock.zerocopy_sends + 1;
+          Obs.Metrics.incr m_zerocopy_sends
+        | Core.Fell_back ->
+          (* Pool exhausted: Libra fallback to the copy path. *)
+          Obs.Metrics.incr m_pool_fallbacks;
+          Obs.Trace.emit Obs.Trace.Fallback
+        | Core.Copied -> ());
         s.Sock.bytes_sent <- s.Sock.bytes_sent + len);
     len
 
@@ -639,10 +624,6 @@ let shutdown_send th (s : Sock.t) =
   if not s.Sock.fin_sent then begin
     s.Sock.fin_sent <- true;
     match s.Sock.tx with
-    | Some (Sock.Tx_kernel (kproc, kfd)) -> (
-      match Kernel.lookup kproc kfd with
-      | Kernel.Tcp ep -> Kernel.shutdown_send ep
-      | _ -> ())
     | Some _ -> ( try send_msg th s (Msg.control "FIN") with _ -> ())
     | None -> ()
   end
@@ -676,6 +657,16 @@ let close th fd =
     end
 
 (* ---- fork / exec (§4.1.2) ---- *)
+
+(* RDMA resources do not survive fork or exec: the socket's QP must be
+   re-initialized before its next send. *)
+let mark_reinit (s : Sock.t) =
+  match s.Sock.tx with
+  | Some tx -> (
+    match Shm_chan.via tx.Sock.chan with
+    | Shm_chan.Rdma _ -> tx.Sock.needs_reinit <- true
+    | Shm_chan.Shm -> ())
+  | None -> ()
 
 let fork th =
   let ctx = th.ctx in
@@ -711,12 +702,7 @@ let fork th =
         s.Sock.refs <- s.Sock.refs + 1;
         Token.on_fork s.Sock.send_token ~parent_tid:th.tid;
         Token.on_fork s.Sock.recv_token ~parent_tid:th.tid;
-        (match s.Sock.tx with
-        | Some (Sock.Tx_chan ({ chan; _ } as tx)) -> (
-          match Shm_chan.via chan with
-          | Shm_chan.Rdma _ -> tx.Sock.needs_reinit <- true
-          | Shm_chan.Shm -> ())
-        | _ -> ())
+        mark_reinit s
       | K _ | Ep _ -> ());
   (* Child announces itself to the monitor with the secret. *)
   let paired = Monitor.rpc ctx.monitor (fun reply -> Monitor.Fork_pair { fp_secret = secret; fp_reply = reply }) in
@@ -733,13 +719,7 @@ let exec ctx =
   ctx.fds <- Fd_table.copy ctx.fds;
   Fd_table.iter ctx.fds (fun _ e ->
       match e with
-      | U s -> (
-        match s.Sock.tx with
-        | Some (Sock.Tx_chan ({ chan; _ } as tx)) -> (
-          match Shm_chan.via chan with
-          | Shm_chan.Rdma _ -> tx.Sock.needs_reinit <- true
-          | Shm_chan.Shm -> ())
-        | _ -> ())
+      | U s -> mark_reinit s
       | K _ | Ep _ -> ())
 
 (* ---- epoll ---- *)
@@ -818,8 +798,8 @@ let epoll_add th epfd fd =
     | U s ->
       Sock.add_deliver_hook s (fun () -> Waitq.signal e.ep_wq);
       (match s.Sock.rx with
-      | Some (Sock.Rx_chan chan) -> Shm_chan.add_deliver_hook chan (fun () -> Waitq.signal e.ep_wq)
-      | _ -> ())
+      | Some chan -> Shm_chan.add_deliver_hook chan (fun () -> Waitq.signal e.ep_wq)
+      | None -> ())
     | K (_, kfd) ->
       (* Kernel FDs are delegated to the per-process epoll thread. *)
       watch_kernel_fd th.ctx ~kfd ~wq:e.ep_wq
@@ -845,20 +825,21 @@ let fd_readable th fd =
     | exception _ -> false)
   | Some (Ep _) | None -> false
 
+(* One readiness probe of [fd] for epoll_wait and poll: a user socket's
+   transport is polled first so SHM arrivals become visible. *)
+let poll_readable th fd =
+  (match Fd_table.find th.ctx.fds fd with
+  | Some (U s) -> ignore (Sock.poll_rx s)
+  | _ -> ());
+  fd_readable th fd
+
 (* Level-triggered epoll_wait over mixed user/kernel FDs. *)
 let epoll_wait th epfd ?timeout_ns () =
   let e = epoll_exn th epfd in
   Obs.Metrics.incr m_epoll_waits;
   Proc.sleep_ns th.ctx.cost.Cost.c_shim;
   let scan () =
-    Hashtbl.fold
-      (fun fd () acc ->
-        (* Poll user sockets' transports so SHM arrivals become visible. *)
-        (match Fd_table.find th.ctx.fds fd with
-        | Some (U s) -> ignore (Sock.poll_rx s)
-        | _ -> ());
-        if fd_readable th fd then fd :: acc else acc)
-      e.ep_watched []
+    Hashtbl.fold (fun fd () acc -> if poll_readable th fd then fd :: acc else acc) e.ep_watched []
   in
   let deadline = Option.map (fun d -> Engine.now th.ctx.engine + d) timeout_ns in
   (* Same shared §4.4 polling↔interrupt state machine as [next_msg]: poll
@@ -923,30 +904,33 @@ let sock_stats th fd =
 let rebuild_transports (s : Sock.t) (peer : Sock.t) =
   let cost = s.Sock.cost in
   let engine = s.Sock.host.Host.engine in
-  if Host.same_host s.Sock.host peer.Sock.host then begin
-    let a2b = Shm_chan.create engine ~cost () in
-    let b2a = Shm_chan.create engine ~cost () in
-    s.Sock.tx <- Some (Sock.Tx_chan (Sock.chan_tx a2b));
-    peer.Sock.rx <- Some (Sock.Rx_chan a2b);
-    peer.Sock.tx <- Some (Sock.Tx_chan (Sock.chan_tx b2a));
-    s.Sock.rx <- Some (Sock.Rx_chan b2a);
-    Proc.sleep_ns (2 * cost.Cost.monitor_processing)
-  end
-  else begin
-    (* New QP pair between the two hosts' NICs, one ring channel per
-       direction. *)
-    let nic_s = Host.nic s.Sock.host and nic_p = Host.nic peer.Sock.host in
-    let cq_s = Nic.create_cq nic_s and cq_p = Nic.create_cq nic_p in
-    let qp_s, qp_p = Nic.connect_qps nic_s nic_p ~scq_a:cq_s ~rcq_a:cq_s ~scq_b:cq_p ~rcq_b:cq_p in
-    Nic.set_batching qp_s true;
-    Nic.set_batching qp_p true;
-    let s2p = Shm_chan.create_rdma engine ~cost ~qp:qp_s () in
-    let p2s = Shm_chan.create_rdma engine ~cost ~qp:qp_p () in
-    s.Sock.tx <- Some (Sock.Tx_chan (Sock.chan_tx s2p));
-    peer.Sock.rx <- Some (Sock.Rx_chan s2p);
-    peer.Sock.tx <- Some (Sock.Tx_chan (Sock.chan_tx p2s));
-    s.Sock.rx <- Some (Sock.Rx_chan p2s)
-  end
+  let same_host = Host.same_host s.Sock.host peer.Sock.host in
+  let s2p, p2s =
+    if same_host then begin
+      let s2p = Shm_chan.create engine ~cost () in
+      let p2s = Shm_chan.create engine ~cost () in
+      (s2p, p2s)
+    end
+    else begin
+      (* New QP pair between the two hosts' NICs, one ring channel per
+         direction. *)
+      let nic_s = Host.nic s.Sock.host and nic_p = Host.nic peer.Sock.host in
+      let cq_s = Nic.create_cq nic_s and cq_p = Nic.create_cq nic_p in
+      let qp_s, qp_p =
+        Nic.connect_qps nic_s nic_p ~scq_a:cq_s ~rcq_a:cq_s ~scq_b:cq_p ~rcq_b:cq_p
+      in
+      Nic.set_batching qp_s true;
+      Nic.set_batching qp_p true;
+      let s2p = Shm_chan.create_rdma engine ~cost ~qp:qp_s () in
+      let p2s = Shm_chan.create_rdma engine ~cost ~qp:qp_p () in
+      (s2p, p2s)
+    end
+  in
+  s.Sock.tx <- Some (Sock.chan_tx s2p);
+  peer.Sock.rx <- Some s2p;
+  peer.Sock.tx <- Some (Sock.chan_tx p2s);
+  s.Sock.rx <- Some p2s;
+  if same_host then Proc.sleep_ns (2 * cost.Cost.monitor_processing)
 
 (* Live-migrate this process's container to [to_host] (§4.1.3): quiesce and
    drain in-flight data into the socket queues (part of the memory image),
@@ -978,13 +962,13 @@ let migrate ctx ~to_host =
       | U s when s.Sock.state = Sock.Established -> (
         s.Sock.host <- to_host;
         match (s.Sock.peer_sock, s.Sock.tx) with
-        | Some peer, Some (Sock.Tx_chan _) ->
+        | Some peer, Some _ ->
           rebuild_transports s peer;
           (* Receivers parked in interrupt mode on the old channels must
              re-poll the new ones. *)
           Waitq.broadcast s.Sock.rx_wq;
           Waitq.broadcast peer.Sock.rx_wq
-        | _ -> () (* kernel-fallback connections cannot be live-migrated *))
+        | _ -> ())
       | _ -> ())
 
 (* ---- accessors used by tools, tests and the epoll thread ---- *)
@@ -1033,15 +1017,7 @@ let dup th fd =
    passes.  Returns ready fds in ascending order. *)
 let poll th fds ?timeout_ns () =
   Proc.sleep_ns th.ctx.cost.Cost.c_shim;
-  let scan () =
-    List.filter
-      (fun fd ->
-        (match Fd_table.find th.ctx.fds fd with
-        | Some (U s) -> ignore (Sock.poll_rx s)
-        | _ -> ());
-        fd_readable th fd)
-      (List.sort_uniq Int.compare fds)
-  in
+  let scan () = List.filter (poll_readable th) (List.sort_uniq Int.compare fds) in
   let deadline = Option.map (fun d -> Engine.now th.ctx.engine + d) timeout_ns in
   let rec loop () =
     match scan () with

@@ -17,8 +17,6 @@ module Obs = Sds_obs.Obs
 let m_requests = Obs.Metrics.counter "monitor.requests"
 let m_binds = Obs.Metrics.counter "monitor.binds"
 let m_listens = Obs.Metrics.counter "monitor.listens"
-let m_accepts = Obs.Metrics.counter "monitor.accepts"
-let m_steals = Obs.Metrics.counter "monitor.steals"
 let m_wakes = Obs.Metrics.counter "monitor.wakes"
 
 (* Dispatch-policy metrics, shared by name with the real-domain dispatcher
@@ -33,13 +31,10 @@ let h_dispatch_backlog = Obs.Metrics.histogram "monitor.dispatch.backlog"
 type pairing = { mutable c_sock : Sock.t option; mutable s_sock : Sock.t option }
 
 type syn_entry = {
-  s_tx : Sock.tx_transport;  (** server's sending side *)
-  s_rx : Sock.rx_transport;
+  s_tx : Sock.chan_tx;  (** server's sending side *)
+  s_rx : Shm_chan.t;
   syn_client_host : int;
   syn_client_port : int;
-  syn_deliver : (Msg.t -> unit) option ref;
-      (** where the RDMA sink routes inbound messages once the server socket
-          exists; SHM needs no routing *)
   syn_pairing : pairing;
 }
 
@@ -50,18 +45,10 @@ type listener_thread = {
   lt_max : int;
 }
 
-type listener_group = {
-  port : int;
-  mutable threads : listener_thread list;
-  mutable rr : int;
-  (* Kernel-side listener kept in lock step so that regular TCP peers can
-     still connect (fallback path, §4.5.3). *)
-  kernel_fd : int;
-  kernel_proc : Sds_kernel.Kernel.process;
-}
+type listener_group = { port : int; mutable threads : listener_thread list; mutable rr : int }
 
 type connect_reply =
-  | Sds_queues of Sock.tx_transport * Sock.rx_transport * (Msg.t -> unit) option ref * pairing
+  | Sds_queues of Sock.chan_tx * Shm_chan.t * pairing
   | Fallback of Sds_kernel.Kernel.process * int  (** kernel endpoint fd *)
   | Refused of string
 
@@ -85,17 +72,13 @@ type t = {
   listeners : (int, listener_group) Hashtbl.t;
   bound_ports : (int, int) Hashtbl.t;  (** port -> owning pid *)
   mutable next_ephemeral : int;
-  peers : (int, peer_link) Hashtbl.t;
+  linked : (int, unit) Hashtbl.t;  (** peer hosts whose monitor link is up *)
   mutable acl : src_host:int -> port:int -> bool;
   fork_secrets : (int, unit) Hashtbl.t;
   kernel_proc : Sds_kernel.Kernel.process;  (** owns fallback listeners *)
   mutable handled : int;
-  mutable dispatched : int;
-  mutable stolen : int;
   mutable proc : Proc.t option;
 }
-
-and peer_link = { mutable link_rdma : bool; mutable link_setup_done : bool }
 
 let ext_key : t Sds_het.Hmap.key = Sds_het.Hmap.create_key ~name:"sds_monitor" ()
 
@@ -132,11 +115,12 @@ and handle t req =
       match Hashtbl.find_opt t.listeners l_port with
       | Some g -> g
       | None ->
-        (* Mirror the listener in the kernel so regular TCP peers reach us. *)
+        (* Mirror the listener in the kernel so regular TCP peers can still
+           connect (fallback path, §4.5.3). *)
         let kfd = Sds_kernel.Kernel.socket t.kernel_proc in
         (try Sds_kernel.Kernel.listen t.kernel_proc kfd ~port:l_port ()
          with Sds_kernel.Kernel.Address_in_use _ -> ());
-        let g = { port = l_port; threads = []; rr = 0; kernel_fd = kfd; kernel_proc = t.kernel_proc } in
+        let g = { port = l_port; threads = []; rr = 0 } in
         Hashtbl.replace t.listeners l_port g;
         g
     in
@@ -173,8 +157,6 @@ and handle t req =
       | None -> st_reply None
       | Some i ->
         let lt = threads.(i) in
-        t.stolen <- t.stolen + 1;
-        Obs.Metrics.incr m_steals;
         Obs.Metrics.incr m_dispatch_steals;
         Obs.Trace.emit_n Obs.Trace.Steal st_for;
         Log.debug (fun m -> m "h%d: thread %d steals from thread %d" (Host.id t.host) st_for lt.lt_uid);
@@ -203,7 +185,7 @@ and handle t req =
 
 (* Dispatch a SYN to a listener thread round-robin, skipping full
    backlogs (§4.5.2); the pick is the shared [Dispatch_core] policy. *)
-and dispatch t group entry =
+and dispatch group entry =
   match group.threads with
   | [] -> Error "no listener"
   | threads ->
@@ -220,8 +202,6 @@ and dispatch t group entry =
       group.rr <- (i + 1) mod n;
       Obs.Metrics.observe h_dispatch_backlog (Queue.length lt.lt_backlog);
       Queue.push entry lt.lt_backlog;
-      t.dispatched <- t.dispatched + 1;
-      Obs.Metrics.incr m_accepts;
       Obs.Metrics.incr m_dispatch_rr;
       Obs.Trace.emit_n Obs.Trace.Accept group.port;
       Waitq.signal lt.lt_wq;
@@ -235,21 +215,22 @@ and ephemeral t =
   in
   next ()
 
+(* One ring channel per direction: the server's entry and the client's
+   reply share both. *)
+and queues t ~c2s ~s2c =
+  let pairing = { c_sock = None; s_sock = None } in
+  let entry =
+    { s_tx = Sock.chan_tx s2c; s_rx = c2s; syn_client_host = Host.id t.host; syn_client_port = 0;
+      syn_pairing = pairing }
+  in
+  (entry, Sds_queues (Sock.chan_tx c2s, s2c, pairing))
+
 (* Intra-host: one SHM ring channel per direction, shared by both
    endpoints. *)
 and intra_host_queues t =
   let c2s = Shm_chan.create t.engine ~cost:t.cost () in
   let s2c = Shm_chan.create t.engine ~cost:t.cost () in
-  let pairing = { c_sock = None; s_sock = None } in
-  let entry =
-    { s_tx = Sock.Tx_chan (Sock.chan_tx s2c); s_rx = Sock.Rx_chan c2s;
-      syn_client_host = Host.id t.host; syn_client_port = 0; syn_deliver = ref None;
-      syn_pairing = pairing }
-  in
-  let client =
-    Sds_queues (Sock.Tx_chan (Sock.chan_tx c2s), Sock.Rx_chan s2c, ref None, pairing)
-  in
-  (entry, client)
+  queues t ~c2s ~s2c
 
 (* Inter-host: an RDMA QP pair carries one ring channel per direction — the
    §4.2 "two copies of the ring buffer" synchronized by one-sided writes.
@@ -265,16 +246,7 @@ and inter_host_queues t (remote : t) =
      qp_c's peer side commits at the server.  create_rdma installs it. *)
   let c2s = Shm_chan.create_rdma t.engine ~cost:t.cost ~qp:qp_c () in
   let s2c = Shm_chan.create_rdma remote.engine ~cost:remote.cost ~qp:qp_s () in
-  let pairing = { c_sock = None; s_sock = None } in
-  let entry =
-    { s_tx = Sock.Tx_chan (Sock.chan_tx s2c); s_rx = Sock.Rx_chan c2s;
-      syn_client_host = Host.id t.host; syn_client_port = 0; syn_deliver = ref None;
-      syn_pairing = pairing }
-  in
-  let client =
-    Sds_queues (Sock.Tx_chan (Sock.chan_tx c2s), Sock.Rx_chan s2c, ref None, pairing)
-  in
-  (entry, client)
+  queues t ~c2s ~s2c
 
 and handle_syn t ~dst ~port ~src_pid ~reply =
   ignore src_pid;
@@ -285,7 +257,7 @@ and handle_syn t ~dst ~port ~src_pid ~reply =
       if not (t.acl ~src_host:(Host.id t.host) ~port) then reply (Refused "access denied")
       else begin
         let entry, client = intra_host_queues t in
-        match dispatch t group entry with
+        match dispatch group entry with
         | Ok () -> reply client
         | Error e -> reply (Refused e)
       end
@@ -309,7 +281,7 @@ and handle_syn t ~dst ~port ~src_pid ~reply =
                          Engine.schedule remote.engine ~delay:one_way (fun () -> reply (Refused "access denied"))
                        else begin
                          let entry, client = inter_host_queues t remote in
-                         match dispatch remote group entry with
+                         match dispatch group entry with
                          | Ok () -> Engine.schedule remote.engine ~delay:one_way (fun () -> reply client)
                          | Error e ->
                            Engine.schedule remote.engine ~delay:one_way (fun () -> reply (Refused e))
@@ -329,23 +301,14 @@ and handle_syn t ~dst ~port ~src_pid ~reply =
 (* The first contact with a peer host costs the raw-socket handshake with
    the special TCP option plus the monitor-to-monitor QP (§4.5.3). *)
 and ensure_link t remote =
-  let link =
-    match Hashtbl.find_opt t.peers (Host.id remote.host) with
-    | Some l -> l
-    | None ->
-      let l = { link_rdma = true; link_setup_done = false } in
-      Hashtbl.replace t.peers (Host.id remote.host) l;
-      l
-  in
-  if not (l_done link) then begin
-    link.link_setup_done <- true;
+  let peer = Host.id remote.host in
+  if not (Hashtbl.mem t.linked peer) then begin
+    Hashtbl.replace t.linked peer ();
     Log.info (fun m ->
         m "h%d: first contact with h%d - raw-socket capability handshake + monitor QP"
-          (Host.id t.host) (Host.id remote.host));
+          (Host.id t.host) peer);
     Proc.sleep_ns (t.cost.Cost.tcp_handshake + t.cost.Cost.rdma_qp_create)
   end
-
-and l_done l = l.link_setup_done
 
 and post t req =
   Queue.push req t.ctl;
@@ -386,13 +349,11 @@ let create host =
       listeners = Hashtbl.create 16;
       bound_ports = Hashtbl.create 16;
       next_ephemeral = 32768;
-      peers = Hashtbl.create 4;
+      linked = Hashtbl.create 4;
       acl = (fun ~src_host:_ ~port:_ -> true);
       fork_secrets = Hashtbl.create 4;
       kernel_proc = Sds_kernel.Kernel.spawn_process kernel ();
       handled = 0;
-      dispatched = 0;
-      stolen = 0;
       proc = None;
     }
   in
@@ -405,8 +366,6 @@ let for_host host = Host.get_ext_or host ext_key ~create
 
 let set_acl t f = t.acl <- f
 let handled t = t.handled
-let dispatched t = t.dispatched
-let stolen t = t.stolen
 let register_fork_secret t secret = Hashtbl.replace t.fork_secrets secret ()
 let host t = t.host
 let cost t = t.cost

@@ -14,12 +14,10 @@ open Sds_transport
 type pairing = { mutable c_sock : Sock.t option; mutable s_sock : Sock.t option }
 
 type syn_entry = {
-  s_tx : Sock.tx_transport;  (** server's sending side *)
-  s_rx : Sock.rx_transport;
+  s_tx : Sock.chan_tx;  (** server's sending side *)
+  s_rx : Shm_chan.t;
   syn_client_host : int;
   syn_client_port : int;
-  syn_deliver : (Msg.t -> unit) option ref;
-      (** where the RDMA sink routes once the server socket exists *)
   syn_pairing : pairing;
 }
 
@@ -31,7 +29,7 @@ type listener_thread = {
 }
 
 type connect_reply =
-  | Sds_queues of Sock.tx_transport * Sock.rx_transport * (Msg.t -> unit) option ref * pairing
+  | Sds_queues of Sock.chan_tx * Shm_chan.t * pairing
   | Fallback of Sds_kernel.Kernel.process * int  (** kernel endpoint fd *)
   | Refused of string
 
@@ -64,7 +62,5 @@ val set_acl : t -> (src_host:int -> port:int -> bool) -> unit
 val register_fork_secret : t -> int -> unit
 
 val handled : t -> int
-val dispatched : t -> int
-val stolen : t -> int
 val host : t -> Host.t
 val cost : t -> Cost.t

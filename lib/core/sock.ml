@@ -1,9 +1,10 @@
 (* User-space socket objects and their transports.
 
    A socket is two FIFO directions; each direction is backed by an intra-host
-   SHM channel, an inter-host RDMA ring, or a kernel TCP fd (fallback to
-   regular peers, §4.5.3).  Socket metadata and buffers live logically in
-   shared memory so they survive fork; the [refs] count models that sharing.
+   SHM channel or an inter-host RDMA ring.  A regular TCP peer (§4.5.3) gets
+   no user-space socket at all: libsd rebinds the fd to a kernel FD.  Socket
+   metadata and buffers live logically in shared memory so they survive
+   fork; the [refs] count models that sharing.
 
    The connection state machine is Figure 6 of the paper. *)
 
@@ -36,32 +37,15 @@ let string_of_state = function
    channel in different flavours (§4.2); the tx side additionally remembers
    whether RDMA resources must be re-initialized after fork/exec. *)
 
-(* §4.5 adaptive batch sizing: the per-direction budget bounding how many
-   messages one vectored enqueue may carry.  The controller is shared with
-   the real-domain backend ([Sds_proto.Batch_ctl]): it rests at
-   [initial_batch], halves only on an observed ring-full, and grows past
-   the resting point only under caller backlog pressure. *)
-let min_batch = 4
-let initial_batch = 32
-let max_batch = 256
-
 type chan_tx = {
   chan : Shm_chan.t;
   mutable needs_reinit : bool;  (** set in a forked child / after exec *)
-  batch : Sds_proto.Batch_ctl.t;  (** §4.5 adaptive vectored-send bound *)
+  batch : Sds_proto.Batch_ctl.t;
+      (** §4.5 adaptive vectored-send bound, the controller shared with the
+          real-domain backend *)
 }
 
-let chan_tx chan =
-  { chan; needs_reinit = false;
-    batch = Sds_proto.Batch_ctl.create ~min_b:min_batch ~initial:initial_batch ~max_b:max_batch () }
-
-type tx_transport =
-  | Tx_chan of chan_tx
-  | Tx_kernel of Sds_kernel.Kernel.process * int
-
-type rx_transport =
-  | Rx_chan of Shm_chan.t
-  | Rx_kernel of Sds_kernel.Kernel.process * int
+let chan_tx chan = { chan; needs_reinit = false; batch = Sds_proto.Batch_ctl.create () }
 
 (* ---- sockets ---- *)
 
@@ -70,15 +54,14 @@ type t = {
   mutable host : Host.t;  (** mutable: container live migration (§4.1.3) *)
   cost : Cost.t;
   mutable state : state;
-  mutable tx : tx_transport option;
-  mutable rx : rx_transport option;
+  mutable tx : chan_tx option;
+  mutable rx : Shm_chan.t option;
   send_token : Token.t;
   recv_token : Token.t;
   incoming : Msg.t Queue.t;  (** completed messages ready for recv *)
   rx_wq : Waitq.t;
   mutable deliver_hooks : (unit -> unit) list;  (** epoll notification *)
   cursor : Sds_proto.Stream_core.cursor;  (** partly read record, guarded by [recv_token] *)
-  mutable rx_interrupt : bool;  (** receiver sleeping in interrupt mode *)
   mutable nonblocking : bool;  (** O_NONBLOCK *)
   mutable local_port : int;
   mutable peer_host : int;
@@ -113,7 +96,6 @@ let create host ~cost ~tid ?copy_mode () =
     rx_wq = Waitq.create ();
     deliver_hooks = [];
     cursor = Sds_proto.Stream_core.cursor ();
-    rx_interrupt = false;
     nonblocking = false;
     local_port = 0;
     peer_host = -1;
@@ -132,10 +114,7 @@ let create host ~cost ~tid ?copy_mode () =
   }
 
 let tx_exn t =
-  match t.tx with Some tr -> tr | None -> invalid_arg "Sock: no tx transport"
-
-let rx_exn t =
-  match t.rx with Some tr -> tr | None -> invalid_arg "Sock: no rx transport"
+  match t.tx with Some tx -> tx | None -> invalid_arg "Sock: no tx transport"
 
 (* Deliver a completed inbound message (called by the NIC sink or the SHM
    poll path). *)
@@ -164,26 +143,16 @@ let has_buffered t = Sds_proto.Stream_core.pending t.cursor || not (Queue.is_emp
    Returns true if progress was made. *)
 let poll_rx t =
   match t.rx with
-  | Some (Rx_chan chan) ->
+  | Some chan ->
     (match Shm_chan.try_recv chan with
     | Some msg ->
       deliver t msg;
       true
     | None -> false)
-  | Some (Rx_kernel _) | None -> not (Queue.is_empty t.incoming)
+  | None -> false
 
 let readable t =
   t.reset || has_buffered t
-  ||
-  match t.rx with
-  | Some (Rx_chan chan) -> Shm_chan.pending chan > 0
-  | Some (Rx_kernel (proc, fd)) -> (
-    match Sds_kernel.Kernel.lookup proc fd with
-    | Sds_kernel.Kernel.Tcp ep ->
-      (match ep.Sds_kernel.Kernel.rx with
-      | Some s -> Sds_kernel.Kstream.readable_now s
-      | None -> false)
-    | _ -> false)
-  | None -> t.fin_seen
+  || match t.rx with Some chan -> Shm_chan.pending chan > 0 | None -> t.fin_seen
 
 let is_eof t = t.fin_seen && not (has_buffered t)

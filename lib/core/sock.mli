@@ -1,8 +1,8 @@
 (** User-space socket objects and their transports.
 
     A socket is two FIFO directions, each backed by an intra-host SHM
-    channel, an inter-host RDMA ring, or a kernel TCP fd (fallback to
-    regular peers).  Metadata and buffers live logically in shared memory so
+    channel or an inter-host RDMA ring.  A regular TCP peer (§4.5.3) gets
+    no socket object: libsd rebinds the fd to a kernel FD.  Metadata and buffers live logically in shared memory so
     they survive fork ([refs]).  The connection state machine is the
     paper's Figure 6.
 
@@ -24,12 +24,6 @@ type state =
 
 val string_of_state : state -> string
 
-(** §4.5 adaptive batch sizing bounds for [chan_tx.batch]. *)
-
-val min_batch : int
-val initial_batch : int
-val max_batch : int
-
 (** Both directions are the same ring channel in its SHM or RDMA flavour
     (§4.2); the tx side also tracks fork/exec RDMA re-initialization and
     the adaptive vectored-send budget. *)
@@ -37,35 +31,27 @@ type chan_tx = {
   chan : Shm_chan.t;
   mutable needs_reinit : bool;  (** set in a forked child / after exec *)
   batch : Sds_proto.Batch_ctl.t;
-      (** §4.5 shared controller: rests at [initial_batch], halves only on
+      (** §4.5 shared controller: rests at
+          {!Sds_proto.Batch_ctl.initial_budget}, halves only on
           observed ring-full, grows past the resting point only under
           backlog pressure *)
 }
 
 val chan_tx : Shm_chan.t -> chan_tx
 
-type tx_transport =
-  | Tx_chan of chan_tx
-  | Tx_kernel of Sds_kernel.Kernel.process * int
-
-type rx_transport =
-  | Rx_chan of Shm_chan.t
-  | Rx_kernel of Sds_kernel.Kernel.process * int
-
 type t = {
   sid : int;
   mutable host : Host.t;  (** mutable: container live migration (§4.1.3) *)
   cost : Cost.t;
   mutable state : state;
-  mutable tx : tx_transport option;
-  mutable rx : rx_transport option;
+  mutable tx : chan_tx option;
+  mutable rx : Shm_chan.t option;
   send_token : Token.t;
   recv_token : Token.t;
   incoming : Msg.t Queue.t;  (** completed messages ready for recv *)
   rx_wq : Waitq.t;
   mutable deliver_hooks : (unit -> unit) list;
   cursor : Sds_proto.Stream_core.cursor;  (** partly read record, guarded by [recv_token] *)
-  mutable rx_interrupt : bool;
   mutable nonblocking : bool;  (** O_NONBLOCK *)
   mutable local_port : int;
   mutable peer_host : int;
@@ -85,8 +71,7 @@ type t = {
 
 val create : Host.t -> cost:Cost.t -> tid:int -> ?copy_mode:Sds_proto.Copy_policy.mode -> unit -> t
 
-val tx_exn : t -> tx_transport
-val rx_exn : t -> rx_transport
+val tx_exn : t -> chan_tx
 
 val deliver : t -> Msg.t -> unit
 (** Commit a completed inbound message (NIC sink / SHM poll path). *)

@@ -1,25 +1,24 @@
 (* §4.5 adaptive batch sizing, shared between backends.
 
    The budget bounds how many messages one vectored enqueue may carry.  The
-   controller rests at [initial] (32 — one cache-resident burst, the sweet
-   spot the fixed-32 row measures): it only shrinks when the ring actually
-   rejects a whole attempt (credit exhaustion, i.e. observed ring-full) and
-   only grows past [initial] under caller-declared pressure (the
-   application handed us more than one budget's worth of messages, so
-   larger batches amortize tail publications).  A partial acceptance means
+   controller rests at [initial_budget] (32 — one cache-resident burst, the
+   sweet spot the fixed-32 row measures): it only shrinks when the ring
+   actually rejects a whole attempt (credit exhaustion, i.e. observed
+   ring-full) and only grows past it, up to [max_budget], under
+   caller-declared pressure (the application handed us more than one
+   budget's worth of messages, so larger batches amortize tail
+   publications).  A partial acceptance means
    the ring absorbed what it had credits for — that is flow control working,
    not a reason to shrink future batches. *)
 
-type t = { mutable budget : int; min_b : int; initial : int; max_b : int }
+type t = { mutable budget : int }
 
+let min_budget = 4
 let initial_budget = 32
-
-let create ?(min_b = 4) ?(initial = initial_budget) ?(max_b = 256) () =
-  if min_b < 1 || initial < min_b || max_b < initial then invalid_arg "Batch_ctl.create";
-  { budget = initial; min_b; initial; max_b }
-
+let max_budget = 256
+let create () = { budget = initial_budget }
 let budget t = t.budget
-let reset t = t.budget <- t.initial
+let reset t = t.budget <- initial_budget
 
 (* Outcome of one vectored-enqueue attempt: [sent] of [attempted] messages
    accepted; [pressure] when the caller still has a backlog beyond this
@@ -29,20 +28,20 @@ let observe t ~sent ~attempted ~pressure =
     if sent = 0 then begin
       (* Observed ring-full with zero progress: the receiver is behind;
          smaller batches shorten the stall when credits trickle back. *)
-      if t.budget > t.min_b then t.budget <- t.budget / 2
+      if t.budget > min_budget then t.budget <- t.budget / 2
     end
     else if sent = attempted then begin
-      if t.budget < t.initial then
+      if t.budget < initial_budget then
         (* Recover toward the resting point after a ring-full episode. *)
-        t.budget <- min t.initial (2 * t.budget)
+        t.budget <- min initial_budget (2 * t.budget)
       else if pressure then begin
-        if t.budget < t.max_b then t.budget <- 2 * t.budget
+        if t.budget < max_budget then t.budget <- 2 * t.budget
       end
       else
         (* Backlog gone: rest back at the sweet spot.  Growth past
-           [initial] is a loan against declared pressure, not a new
-           steady state. *)
-        t.budget <- t.initial
+           [initial_budget] is a loan against declared pressure, not a
+           new steady state. *)
+        t.budget <- initial_budget
     end
     (* Partial acceptance: keep the budget. *)
   end

@@ -1,13 +1,11 @@
 (* The byte-stream core of both socket backends (§4.2, §4.6): the record
    plan of a send, page staging, landing and the partial-read cursor.
 
-   A record the caller's [len] cannot hold stays in the cursor: an inline
-   record as its source bytes (the simulator's message payload, or the
-   scratch buffer the adapter dequeued into); a descriptor record, in the
-   simulator, as its entries plus a page index and the bytes already
-   landed of that page, each page released the moment it is fully landed.
-   A real-domain receiver copies that remainder to the scratch buffer
-   instead and releases every page within the call (see [land_pages]). *)
+   A record the caller's [len] cannot hold stays in the cursor as bytes:
+   an inline record as its source bytes (the simulator's message payload,
+   or the scratch buffer the adapter dequeued into); a descriptor record's
+   remainder copied to the scratch buffer, every page released within the
+   call (see [land_pages]).  Both backends follow the one rule. *)
 
 module Pp = Sds_vm.Pagepool
 module R = Sds_ring.Spsc_ring
@@ -85,17 +83,12 @@ let release landing pool page =
   | Global -> Pp.release_global pool page
   | Owned { h; _ } -> Pp.release h page
 
-type pending =
-  | Nothing
-  | Bytes_left of { src : Bytes.t; pos : int; stop : int }
-  | Pages_left of { pool : Pp.t; entries : int array; count : int; idx : int; skip : int }
-      (** [Global] only: entry [idx] has [skip] bytes landed already; its
-          page and every later one are still held *)
+type pending = Nothing | Bytes_left of { src : Bytes.t; pos : int; stop : int }
 
 type cursor = { mutable pending : pending; mutable scratch : Bytes.t; mutable entries : int array }
 
 let cursor () = { pending = Nothing; scratch = Bytes.empty; entries = [||] }
-let pending c = match c.pending with Nothing -> false | Bytes_left _ | Pages_left _ -> true
+let pending c = match c.pending with Nothing -> false | Bytes_left _ -> true
 
 let scratch c n =
   if Bytes.length c.scratch < n then c.scratch <- Bytes.create (max n max_inline);
@@ -113,10 +106,10 @@ let land_bytes c src ~pos ~stop dst ~off ~len =
 
 (* Land entries [idx..count) into [dst] from [pos] up to [limit], starting
    [skip] bytes into entry [idx]; returns the final [dst] position.  What
-   does not fit stays pending: under [Global] as the pages themselves;
-   under [Owned] it is copied out to the scratch buffer and every page
-   released within this call, because pages adopted by one domain must
-   not outlive its operation — if that domain died, [reclaim_owner] would
+   does not fit is copied out to the scratch buffer and every page released
+   within this call: no page outlives the operation that dequeued it.  On
+   the real path that is a safety rule — pages adopted by one domain must
+   not outlive its operation, or if that domain died [reclaim_owner] would
    free them under the next holder of the receive token. *)
 let rec land_pages c landing pool entries ~count ~idx ~skip dst ~pos ~limit =
   if idx = count then begin
@@ -135,17 +128,13 @@ let rec land_pages c landing pool entries ~count ~idx ~skip dst ~pos ~limit =
       land_pages c landing pool entries ~count ~idx:(idx + 1) ~skip:0 dst ~pos:(pos + n) ~limit
     end
     else begin
-      (match landing with
-      | Global -> c.pending <- Pages_left { pool; entries; count; idx; skip = skip + n }
-      | Owned _ ->
-        let rest = ref (left - n) in
-        for i = idx + 1 to count - 1 do
-          rest := !rest + R.desc_len entries.(i)
-        done;
-        let src = scratch c !rest in
-        ignore
-          (land_pages c landing pool entries ~count ~idx ~skip:(skip + n) src ~pos:0 ~limit:!rest);
-        c.pending <- Bytes_left { src; pos = 0; stop = !rest });
+      let rest = ref (left - n) in
+      for i = idx + 1 to count - 1 do
+        rest := !rest + R.desc_len entries.(i)
+      done;
+      let src = scratch c !rest in
+      ignore (land_pages c landing pool entries ~count ~idx ~skip:(skip + n) src ~pos:0 ~limit:!rest);
+      c.pending <- Bytes_left { src; pos = 0; stop = !rest };
       pos + n
     end
   end
@@ -180,14 +169,5 @@ let take c dst ~off ~len =
   match c.pending with
   | Nothing -> 0
   | Bytes_left { src; pos; stop } -> land_bytes c src ~pos ~stop dst ~off ~len
-  | Pages_left { pool; entries; count; idx; skip } ->
-    land_pages c Global pool entries ~count ~idx ~skip dst ~pos:off ~limit:(off + len) - off
 
-let drop c =
-  (match c.pending with
-  | Pages_left { pool; entries; count; idx; _ } ->
-    for i = idx to count - 1 do
-      Pp.release_global pool (R.desc_page entries.(i))
-    done
-  | Nothing | Bytes_left _ -> ());
-  c.pending <- Nothing
+let drop c = c.pending <- Nothing

@@ -46,17 +46,18 @@ val stage :
 
     A receive lands at most [len] bytes and writes only inside
     [[off, off+len)]; the rest of the record stays in the endpoint's
-    cursor. *)
+    cursor as bytes.  A descriptor record's remainder is copied to the
+    cursor's scratch buffer, so every page of a record is released before
+    the call that dequeued it returns, on both backends. *)
 
 type landing =
   | Global  (** no adoption, release through the pool's shared stack (the simulator) *)
   | Owned of { h : Sds_vm.Pagepool.handle; from : int; owner : int }
       (** adopt every page from [from] (the id its sender handed it over
           to) for [owner] first, release through [h]: a crash-safe
-          real-domain receiver.  Every page is released before
-          the call returns; a remainder [len] cannot hold is copied to the
-          cursor, so no adopted page outlives the operation (and a dead
-          operator's reclaimed pages are never touched again). *)
+          real-domain receiver.  Since no adopted page outlives the
+          operation, a dead operator's reclaimed pages are never touched
+          again. *)
 
 type cursor
 (** One per receiving endpoint, guarded by its receive token. *)
@@ -88,10 +89,11 @@ val lost : int
 val land_desc :
   cursor -> landing -> Sds_vm.Pagepool.t -> int array -> count:int ->
   Bytes.t -> off:int -> len:int -> int
-(** Land a freshly dequeued descriptor record (its first [count] entries,
-    which under [Global] must stay untouched while pending).  [lost] if, under [Owned],
-    a page was already reclaimed: the payload died with its sender, and
-    the pages adopted so far are released. *)
+(** Land a freshly dequeued descriptor record (its first [count] entries)
+    and release all of its pages; the bytes [len] cannot hold stay pending
+    in the cursor's scratch buffer.  [lost] if, under [Owned], a page was
+    already reclaimed: the payload died with its sender, and the pages
+    adopted so far are released. *)
 
 val drop : cursor -> unit
-(** Forget the pending record, releasing its pages (reset semantics). *)
+(** Forget the pending record (reset semantics).  It holds no page. *)

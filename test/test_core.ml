@@ -215,6 +215,60 @@ let zerocopy_page_return ~intra () =
     Alcotest.(check int) "every page back in the sender's pool"
       (Sds_vm.Pagepool.pages pool) (Sds_vm.Pagepool.free_pages pool)
 
+(* A short read of a descriptor record copies the unread remainder out of
+   the pages and releases all of them within the call: the sender's pool
+   is whole again after the first 4 KiB [recv] of a 16-page record, and
+   the remainder still arrives intact. *)
+let test_short_read_holds_no_page () =
+  let w = make_world () in
+  let h = add_host w in
+  let size = 64 * 1024 and chunk = 4096 in
+  let payload = Bytes.init size (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
+  let sender_pool = ref None and sent = ref false and ready = ref false in
+  let free_after_first = ref (-1) and zc_sends = ref 0 in
+  let got = Buffer.create size in
+  ignore
+    (spawn w "short-read-server" (fun () ->
+         let th = L.create_thread (L.init h) ~core:1 () in
+         let lfd = L.socket th in
+         L.bind th lfd ~port:86;
+         L.listen th lfd;
+         ready := true;
+         let fd = L.accept th lfd in
+         wait_for sent;
+         let dst = Bytes.create chunk in
+         let n = L.recv th fd dst ~off:0 ~len:chunk in
+         Buffer.add_subbytes got dst 0 n;
+         (match !sender_pool with
+         | Some pool -> free_after_first := Sds_vm.Pagepool.free_pages pool
+         | None -> ());
+         while Buffer.length got < size do
+           let n = L.recv th fd dst ~off:0 ~len:chunk in
+           if n = 0 then failwith "unexpected EOF";
+           Buffer.add_subbytes got dst 0 n
+         done));
+  run w (fun () ->
+      wait_for ready;
+      let ctx = L.init h in
+      let th = L.create_thread ctx ~core:0 () in
+      let fd = L.socket th in
+      L.connect th fd ~dst:h ~port:86;
+      sender_pool := Some (L.pool_of ctx);
+      send_all th fd payload;
+      let _, _, zc, _, _ = L.sock_stats th fd in
+      zc_sends := zc;
+      sent := true;
+      while Buffer.length got < size do
+        Sds_sim.Proc.sleep_ns 10_000
+      done);
+  Alcotest.(check int) "the send went by descriptor" 1 !zc_sends;
+  (match !sender_pool with
+  | None -> Alcotest.fail "client never connected"
+  | Some pool ->
+    Alcotest.(check int) "no page held after the first short read"
+      (Sds_vm.Pagepool.pages pool) !free_after_first);
+  check_bytes "every byte arrives intact" payload (Buffer.to_bytes got)
+
 (* ---- fork ---- *)
 
 let test_fork_socket_handoff () =
@@ -869,4 +923,5 @@ let suite =
     Alcotest.test_case "crash gives peer EOF after drain" `Quick test_crash_gives_peer_eof;
     Alcotest.test_case "zero copy returns pages over RDMA" `Quick
       (zerocopy_page_return ~intra:false);
+    Alcotest.test_case "short read holds no page" `Quick test_short_read_holds_no_page;
   ]
