@@ -261,8 +261,10 @@ let park_notify ~root ?(mutate = keep) () =
    ring (atomic store — stands in for the tail publication, which is the
    ownership-transfer edge).  Receiver: wait for the descriptor, read the
    payload and check it, then drop the reference ([rc] := 0 — the last
-   release).  Recycler: wait for [rc] = 0, then reuse the page (plain
-   store of new data) — stands in for a later [alloc] by anyone.
+   release; [rc] stands for the count in the page's state word, which the
+   last release stores whole as free).  Recycler: wait for [rc] = 0, then
+   reuse the page (plain store of new data) — stands in for a later
+   [alloc] by anyone.
 
    [release_before_read = true] is the use-after-release bug: the receiver
    drops its reference *before* reading the payload.  The recycler can then

@@ -38,9 +38,6 @@ let kind_name = function
   | Monitor_restart -> "monitor-restart"
   | Fork_storm -> "fork-storm"
 
-let all_kinds =
-  [ Crash_before_grant; Crash_mid_publish; Crash_holding_pages; Monitor_restart; Fork_storm ]
-
 (* The canonical site each kind fires at in the real-domain stack. *)
 let site_of_kind = function
   | Crash_before_grant -> "rt_token.grant"

@@ -20,9 +20,6 @@ exception Crash of kind
 (** Raised by {!inject} at the armed site.  {!Sds_rt.Rt_dom.spawn} bodies
     that let it escape are declared dead immediately (the [died] hook). *)
 
-val kind_name : kind -> string
-val all_kinds : kind list
-
 val site_of_kind : kind -> string
 (** The canonical injection site each kind fires at. *)
 

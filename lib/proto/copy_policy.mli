@@ -22,18 +22,16 @@ val mode : t -> mode
 val threshold : t -> int
 (** Current copy/remap crossover in bytes (adaptive state). *)
 
-val min_threshold : int
 val base_threshold : int
 (** 16 KiB — the paper's measured crossover; the adaptive start point. *)
 
-val max_threshold : int
 val high_water : float
 (** Pool-occupancy fraction above which the threshold backs off. *)
 
 val decide : t -> pool:Sds_vm.Pagepool.t option -> len:int -> bool
 (** [true] = remap (zero-copy descriptor handoff), [false] = inline copy.
     [pool] is the pool the sender stages into, read for pressure only when
-    [len >= min_threshold] (smaller payloads always copy); [None] when it
+    [len] is at least one page (smaller payloads always copy); [None] when it
     does not exist yet, or when its fill is not memory pressure ([Rt_sock]:
     a lagging receiver's backlog dominates the process pool's fill).  Every decision feeds the size histogram.
     Records the decision in the [pool.remaps]/[pool.copies] counters and

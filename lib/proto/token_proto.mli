@@ -9,13 +9,9 @@
 
 val id_bits : int
 
-val nobody : int
-(** Sentinel id: empty holder/requester slot. *)
-
 val max_id : int
 (** Largest valid participant id. *)
 
-val pack : holder:int -> requester:int -> int
 val holder : int -> int
 val requester : int -> int
 

@@ -101,10 +101,7 @@ type t = {
 
 (* Bounded-park fallback window: a parked requester re-checks liveness (and
    attempts a seize) at least this often even if every notify is lost. *)
-let wait_timeout_ns = ref 50_000_000
-let set_wait_timeout_ns ns =
-  if ns <= 0 then invalid_arg "Rt_token.set_wait_timeout_ns";
-  wait_timeout_ns := ns
+let wait_timeout_ns = 50_000_000
 
 (* ---- flight-recorder registry (weak: standalone tokens only) ---- *)
 
@@ -284,7 +281,7 @@ let[@inline] boundary t ~dom =
 let park_bounded t ~dom ~ready =
   let bit = 1 lsl dom in
   mask_set t.waitmask bit;
-  let deadline_ns = Sds_obs.Span.now () + !wait_timeout_ns in
+  let deadline_ns = Sds_obs.Span.now () + wait_timeout_ns in
   let woke = Waiter.wait_until (Rt_dom.waiter dom) ~deadline_ns ~ready in
   mask_clear t.waitmask bit;
   if not woke && holder_dead_word (Atomic.get t.state) then

@@ -79,8 +79,3 @@ val kick : t -> unit
 (** Wake every slot parked on this token so it re-checks its condition —
     used when poisoning a connection whose waiters must now fail with
     [Peer_dead]. *)
-
-val set_wait_timeout_ns : int -> unit
-(** Bound on any single park in the acquire slow path (default 50 ms):
-    the fallback liveness window when a notify is lost.  Raises on a
-    non-positive value. *)

@@ -2,15 +2,17 @@
    can address, carved into 4 KiB pages, so a "remap" is a descriptor
    handoff instead of a payload blit.
 
-   Ownership is a per-page refcount.  The sender allocates (rc := 1),
-   fills the page, and publishes a descriptor on the ring; publication is
-   the ownership transfer — the sender never touches the page again, the
+   A page's whole state is one word: its owner stamp and its reference
+   count.  The sender allocates (count 1 under its handle's stamp), fills
+   the page, and publishes a descriptor on the ring; publication is the
+   ownership transfer — the sender never touches the page again, the
    receiver releases it after consuming.  Sharing (e.g. multicast or COW
-   views) goes through [incref].
+   views) goes through [incref].  Every transition is one store ([alloc])
+   or one CAS on that word, so exactly one party wins each race.
 
-   Refcounts are SC atomics, one cell per page, with keep-alive spacer
-   allocations between neighbours so two pages' refcounts never share a
-   cache line (same padding idiom as the ring's prod/cons records).
+   The words are SC atomics, one cell per page, with keep-alive spacer
+   allocations between neighbours so two pages' words never share a cache
+   line (same padding idiom as the ring's prod/cons records).
 
    Allocation is contention-free in steady state: each domain holds a
    [handle] with a private free-list cache and moves pages to/from the
@@ -36,10 +38,23 @@ let m_reclaimed = Obs.Metrics.counter "pool.reclaimed_pages"
 let g_pages = Obs.Metrics.gauge "pool.pages"
 let g_in_use = Obs.Metrics.gauge "pool.pages_in_use"
 
-(* Owner-cell sentinels: [-1] = unowned (free, or allocated without an
-   owner id), [-2] = mid-reclamation marker (see [reclaim_owner]). *)
+(* ---- the page word ----------------------------------------------------- *)
+
+(* [(owner + 1) lsl count_bits lor count]: the owner stamp in the high 46
+   bits (room for every [Rt_dom] slot and per-connection direction id;
+   [no_owner] stamps 0) and the reference count in the low 16.  A live
+   page's count is at least 1, and the release or reclaim that ends it
+   stores [free_word] whole, so a free page reads owner [no_owner]: a
+   match on a real (non-negative) owner id implies a live page. *)
 let no_owner = -1
-let reclaiming = -2
+let count_bits = 16
+let max_count = (1 lsl count_bits) - 1
+let max_owner = (max_int lsr count_bits) - 1
+let free_word = 0
+
+let pack owner count = ((owner + 1) lsl count_bits) lor count
+let count w = w land max_count
+let owner_of w = (w lsr count_bits) - 1
 
 type handle = {
   pool : t;
@@ -51,9 +66,8 @@ type handle = {
 and t = {
   data : buf;
   npages : int;
-  rc : int Atomic.t array;
-  _rc_pads : int array array;  (* keep-alive: spacers interleaved at build time *)
-  owners : int Atomic.t array;  (* per-page owner stamp; crash reclamation *)
+  words : int Atomic.t array;  (* per-page state word, see above *)
+  _pads : int array array;  (* keep-alive: spacers interleaved at build time *)
   mu : Mutex.t;
   free : int array;  (* global free stack, guarded by [mu] *)
   mutable free_top : int;
@@ -71,25 +85,20 @@ let live : t Sds_obs.Registry.t = Sds_obs.Registry.create 8
 let create ?(pages = default_pages) () =
   if pages <= 0 then invalid_arg "Pagepool.create: pages must be positive";
   let data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (pages * page_size) in
-  let rc = Array.make pages (Atomic.make 0) in
+  let words = Array.make pages (Atomic.make free_word) in
   let pads = Array.make pages [||] in
   for i = 0 to pages - 1 do
-    rc.(i) <- Atomic.make 0;
-    (* 7 words of spacer between successive refcount cells *)
+    words.(i) <- Atomic.make free_word;
+    (* 7 words of spacer between successive page words *)
     pads.(i) <- Array.make 7 0
   done;
   Obs.Metrics.gauge_add g_pages pages;
-  let owners = Array.make pages (Atomic.make no_owner) in
-  for i = 0 to pages - 1 do
-    owners.(i) <- Atomic.make no_owner
-  done;
   let t =
     {
       data;
       npages = pages;
-      rc;
-      _rc_pads = pads;
-      owners;
+      words;
+      _pads = pads;
       mu = Mutex.create ();
       free = Array.init pages (fun i -> pages - 1 - i);
       free_top = pages;
@@ -185,18 +194,31 @@ let spill h =
   Mutex.unlock t.mu;
   Obs.Metrics.incr m_spills
 
+(* Push one page on the global stack (callers without a cache). *)
+let push_global t page =
+  Mutex.lock t.mu;
+  t.free.(t.free_top) <- page;
+  t.free_top <- t.free_top + 1;
+  Mutex.unlock t.mu
+
 (* ---- allocate / release / share ---------------------------------------- *)
 
 let no_page = -1
 
+let check_owner owner name =
+  if owner < 0 then invalid_arg (name ^ ": negative owner");
+  if owner > max_owner then invalid_arg (name ^ ": owner id too large")
+
 (* Stamp the handle with a crash-recovery owner id (an [Rt_dom] slot).
-   Pages allocated through a stamped handle carry the id in their owner
-   cell until the last release, so [reclaim_owner] can find them if the
-   owner dies mid-flight. *)
+   Pages allocated through a stamped handle carry the id in their word
+   until the last release, so [reclaim_owner] can find them if the owner
+   dies mid-flight. *)
 let set_owner h owner =
-  if owner < 0 then invalid_arg "Pagepool.set_owner: negative owner";
+  check_owner owner "Pagepool.set_owner";
   if h.owner <> owner then h.owner <- owner
 
+(* A cached page is free and reachable by no other handle, and nothing
+   writes a free word, so one store claims it. *)
 let[@sds.hot] alloc h =
   if h.top = 0 && refill h = 0 then begin
     Obs.Metrics.incr m_exhausted;
@@ -205,11 +227,7 @@ let[@sds.hot] alloc h =
   else begin
     h.top <- h.top - 1;
     let page = Array.unsafe_get h.ids h.top in
-    Atomic.set h.pool.rc.(page) 1;
-    (* Owner stamp after rc: the page only matters to a reclaimer once
-       rc > 0, and the reclaimer re-checks rc after winning the owner
-       cell, so the two plain-ordered stores cannot leak a page. *)
-    Atomic.set h.pool.owners.(page) h.owner;
+    Atomic.set h.pool.words.(page) (pack h.owner 1);
     Obs.Metrics.incr m_allocs;
     Obs.Metrics.gauge_add g_in_use 1;
     page
@@ -218,35 +236,41 @@ let[@sds.hot] alloc h =
 let check_page t page name =
   if page < 0 || page >= t.npages then invalid_arg name
 
+let rec add_ref words page =
+  let w = Atomic.get words.(page) in
+  if w = free_word then invalid_arg "Pagepool.incref: page is free";
+  if count w = max_count then invalid_arg "Pagepool.incref: too many references";
+  if not (Atomic.compare_and_set words.(page) w (w + 1)) then add_ref words page
+
 let incref t page =
   check_page t page "Pagepool.incref: bad page id";
-  let old = Atomic.fetch_and_add t.rc.(page) 1 in
-  if old <= 0 then begin
-    ignore (Atomic.fetch_and_add t.rc.(page) (-1));
-    invalid_arg "Pagepool.incref: page is free"
-  end
+  add_ref t.words page
 
 let refcount t page =
   check_page t page "Pagepool.refcount: bad page id";
-  Atomic.get t.rc.(page)
+  count (Atomic.get t.words.(page))
+
+(* One CAS drops one reference; the last one stores [free_word], stamp and
+   all, so a recycled page can never match an owner [reclaim_owners] is
+   given.  [true] iff it was the last. *)
+let[@sds.hot] rec drop_ref words page =
+  let w = Atomic.get words.(page) in
+  if w = free_word then invalid_arg "Pagepool.release: double release";
+  let last = count w = 1 in
+  if Atomic.compare_and_set words.(page) w (if last then free_word else w - 1) then last
+  else drop_ref words page
+
+let[@sds.hot] unref t page =
+  check_page t page "Pagepool.release: bad page id";
+  let last = drop_ref t.words page in
+  Obs.Metrics.incr m_releases;
+  if last then Obs.Metrics.gauge_add g_in_use (-1);
+  last
 
 (* Drop one reference via a handle; the last release recycles the page into
    the handle's cache (spilling a batch when the cache is full). *)
 let[@sds.hot] release h page =
-  let t = h.pool in
-  check_page t page "Pagepool.release: bad page id";
-  let old = Atomic.fetch_and_add t.rc.(page) (-1) in
-  if old <= 0 then begin
-    ignore (Atomic.fetch_and_add t.rc.(page) 1);
-    invalid_arg "Pagepool.release: double release"
-  end;
-  Obs.Metrics.incr m_releases;
-  Obs.Metrics.gauge_add g_in_use (-1);
-  if old = 1 then begin
-    (* Clear the owner stamp *before* recycling, so a page sitting in a
-       cache with rc = 0 can never match a dead owner and be pushed to
-       the global free stack a second time by [reclaim_owner]. *)
-    Atomic.set t.owners.(page) no_owner;
+  if unref h.pool page then begin
     if h.top = cache_cap then spill h;
     Array.unsafe_set h.ids h.top page;
     h.top <- h.top + 1
@@ -254,96 +278,79 @@ let[@sds.hot] release h page =
 
 (* Handle-free release for callers without a cache (cleanup paths, foreign
    pools); always goes through the global stack. *)
-let release_global t page =
-  check_page t page "Pagepool.release: bad page id";
-  let old = Atomic.fetch_and_add t.rc.(page) (-1) in
-  if old <= 0 then begin
-    ignore (Atomic.fetch_and_add t.rc.(page) 1);
-    invalid_arg "Pagepool.release: double release"
-  end;
-  Obs.Metrics.incr m_releases;
-  Obs.Metrics.gauge_add g_in_use (-1);
-  if old = 1 then begin
-    Atomic.set t.owners.(page) no_owner;
-    Mutex.lock t.mu;
-    t.free.(t.free_top) <- page;
-    t.free_top <- t.free_top + 1;
-    Mutex.unlock t.mu
-  end
+let release_global t page = if unref t page then push_global t page
 
 (* ---- crash reclamation (§4.3) ------------------------------------------ *)
 
 let owner t page =
   check_page t page "Pagepool.owner: bad page id";
-  let o = Atomic.get t.owners.(page) in
-  if o < 0 then no_owner else o
+  owner_of (Atomic.get t.words.(page))
+
+(* Re-stamp a live page from [from] to [to_], keeping its count; the CAS
+   retries only when the word moved but still carries [from].  [false]
+   once the page is free or under any other stamp. *)
+let rec restamp words page from to_ =
+  let w = Atomic.get words.(page) in
+  owner_of w = from
+  && (Atomic.compare_and_set words.(page) w (pack to_ (count w)) || restamp words page from to_)
 
 (* Publish a staged page: re-stamp it from [from] (the staging slot) to
    [to_] (the id its receiver adopts from).  The CAS is the arbitration
    with [reclaim_owners]: [false] iff a reclaimer already took the page
    off [from], and then the payload is gone. *)
 let hand_over t ~page ~from ~to_ =
-  if from < 0 || to_ < 0 then invalid_arg "Pagepool.hand_over: negative owner";
+  check_owner from "Pagepool.hand_over";
+  check_owner to_ "Pagepool.hand_over";
   check_page t page "Pagepool.hand_over: bad page id";
-  Atomic.get t.rc.(page) > 0 && Atomic.compare_and_set t.owners.(page) from to_
+  restamp t.words page from to_
 
 (* Take ownership of an in-flight page published under [from] — the
    receiver side of a descriptor handoff calls this before touching the
    payload, so a crash of the *sender* after publication can no longer
    reclaim the page out from under the survivor.  A page under any other
    stamp is not this handoff's page (it was reclaimed and perhaps
-   allocated again), so it is refused; so is one a reclaimer holds
-   ([reclaiming]) or a free one.  Re-adopting a page already ours is a
-   no-op. *)
+   allocated again), so it is refused; so is a free one.  Re-adopting a
+   page already ours is a no-op. *)
 let try_adopt t ~page ~from ~owner =
-  if from < 0 || owner < 0 then invalid_arg "Pagepool.try_adopt: negative owner";
+  check_owner from "Pagepool.try_adopt";
+  check_owner owner "Pagepool.try_adopt";
   check_page t page "Pagepool.try_adopt: bad page id";
-  let rec go () =
-    let o = Atomic.get t.owners.(page) in
-    if Atomic.get t.rc.(page) <= 0 then false
-    else if o = owner then true
-    else if o <> from then false
-    else Atomic.compare_and_set t.owners.(page) from owner || go ()
-  in
-  go ()
+  owner_of (Atomic.get t.words.(page)) = owner || restamp t.words page from owner
 
 (* Every page still stamped with [owner] (racy snapshot, debugging aid). *)
 let owned_pages t ~owner =
-  if owner < 0 then invalid_arg "Pagepool.owned_pages: negative owner";
+  check_owner owner "Pagepool.owned_pages";
   let out = ref [] in
   for page = t.npages - 1 downto 0 do
-    if Atomic.get t.owners.(page) = owner && Atomic.get t.rc.(page) > 0 then
-      out := page :: !out
+    if owner_of (Atomic.get t.words.(page)) = owner then out := page :: !out
   done;
   !out
+
+(* Free a live page stamped with one of [owners] by one CAS of its word to
+   [free_word]; retried while the word moves, so a page re-stamped from
+   one of [owners] to another is caught under either stamp. *)
+let rec seize words page owners =
+  let w = Atomic.get words.(page) in
+  List.mem (owner_of w) owners
+  && (Atomic.compare_and_set words.(page) w free_word || seize words page owners)
 
 (* Force-free, in one pass over the pool, every page still stamped with
    one of [owners] (dead incarnations, abandoned connections).  Races
    against survivors adopting in-flight pages and senders handing staged
-   pages over: the owner-cell CAS to the [reclaiming] marker is the
-   arbitration — exactly one party wins each page, and a page that moves
-   between two of [owners] during the pass is caught under either stamp.
-   The rc exchange (not decrement) forgets any extra refs the dead
+   pages over: the word CAS is the arbitration, so exactly one party wins
+   each page.  Freeing the whole word forgets any extra refs the dead
    incarnation held via [incref]; survivors must have adopted before
    taking their own ref.  Idempotent: a second call finds no pages
    stamped with [owners].  Returns the number of pages freed. *)
 let reclaim_owners t ~owners =
-  if List.exists (fun o -> o < 0) owners then invalid_arg "Pagepool.reclaim_owners: negative owner";
+  List.iter (fun o -> check_owner o "Pagepool.reclaim_owners") owners;
   let freed = ref 0 in
   for page = 0 to t.npages - 1 do
-    let o = Atomic.get t.owners.(page) in
-    if o >= 0 && List.mem o owners && Atomic.compare_and_set t.owners.(page) o reclaiming then begin
-      let rc = Atomic.exchange t.rc.(page) 0 in
-      if rc > 0 then begin
-        incr freed;
-        Obs.Metrics.incr m_reclaimed;
-        Obs.Metrics.gauge_add g_in_use (-1);
-        Mutex.lock t.mu;
-        t.free.(t.free_top) <- page;
-        t.free_top <- t.free_top + 1;
-        Mutex.unlock t.mu
-      end;
-      Atomic.set t.owners.(page) no_owner
+    if seize t.words page owners then begin
+      incr freed;
+      Obs.Metrics.incr m_reclaimed;
+      Obs.Metrics.gauge_add g_in_use (-1);
+      push_global t page
     end
   done;
   !freed
@@ -379,7 +386,7 @@ let () =
 
 let check_live t page name =
   check_page t page name;
-  if Atomic.get t.rc.(page) <= 0 then
+  if Atomic.get t.words.(page) = free_word then
     invalid_arg (name ^ ": use after release")
 
 (* Zero-copy view of [len] bytes at [off] inside [page]; the caller must

@@ -1,7 +1,8 @@
 (** Real shared page pool (§4.6): a Bigarray both endpoints of a channel
-    address directly, carved into 4 KiB pages with padded atomic refcounts.
-    Large payloads cross the ring as page descriptors (ownership handoff)
-    instead of being blitted.
+    address directly, carved into 4 KiB pages.  Each page's whole state is
+    one padded atomic word: its owner stamp and its reference count, 0
+    meaning free.  Large payloads cross the ring as page descriptors
+    (ownership handoff) instead of being blitted.
 
     Ownership rules:
     - [alloc] returns a page with refcount 1 owned by the caller;
@@ -12,6 +13,7 @@
     - the last release recycles the page into the releasing handle's local
       free-list cache (batched spill to the shared stack).
 
+    Every transition is one store ([alloc]) or one CAS on the page's word.
     Double release and use-after-release raise [Invalid_argument]. *)
 
 type t
@@ -21,7 +23,6 @@ type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1
 val page_size : int
 (** 4096 bytes. *)
 
-val default_pages : int
 val batch : int
 (** Pages moved per global spill/refill. *)
 
@@ -61,20 +62,23 @@ val release_global : t -> int -> unit
     the shared stack under the pool mutex. *)
 
 val incref : t -> int -> unit
-(** Add a reference to a live page (sharing).  Raises if the page is free. *)
+(** Add a reference to a live page (sharing).  Raises if the page is free
+    or already holds 65535 references. *)
 
 val refcount : t -> int -> int
 
 (** {1 Ownership and crash reclamation (§4.3)}
 
-    Each page carries an owner cell stamped at allocation time with the
+    Each page's word carries an owner stamp, set at allocation time to the
     allocating handle's owner id (an {!Sds_rt.Rt_dom} slot).  A sender
     publishing a staged page [hand_over]s it to the id its receiver adopts
     from (in [Rt_sock], one id per connection direction); the receiver
     [try_adopt]s it from that id before use.  When an owner dies or a
     connection is abandoned, [reclaim_owners] force-frees every page still
-    stamped with its ids.  The owner cell CAS is the arbitration — exactly
-    one of sender, adopter and reclaimer wins each page. *)
+    stamped with its ids.  The CAS on the page's word is the arbitration —
+    exactly one of sender, adopter and reclaimer wins each page.  Owner ids
+    run from 0 to 2{^46} - 2; the functions below raise [Invalid_argument]
+    on one outside that range. *)
 
 val no_owner : int
 (** [-1]: the unowned stamp (free pages, or handles never given an id). *)
@@ -83,8 +87,7 @@ val set_owner : handle -> int -> unit
 (** Stamp [handle] so its future allocations carry this owner id. *)
 
 val owner : t -> int -> int
-(** Racy read of a page's owner stamp ([no_owner] if unowned or being
-    reclaimed). *)
+(** Racy read of a page's owner stamp ([no_owner] if unowned or free). *)
 
 val hand_over : t -> page:int -> from:int -> to_:int -> bool
 (** Atomically re-stamp a live page from [from] to [to_].  [false] iff

@@ -104,6 +104,16 @@ let () =
       Pp.blit_from_bytes pool ~src:page_bytes ~src_off:0 ~page:bp ~off:0 ~len:Pp.page_size;
       Pp.blit_to_bytes pool ~page:bp ~off:0 ~dst:page_bytes ~dst_off:0 ~len:Pp.page_size);
   Pp.release ph bp;
+  (* The crash-safe handoff: stage under a slot stamp, hand the page over
+     to a direction id, adopt it back, release.  Hand-over, adoption and
+     release are one CAS each on the page's state word. *)
+  let oh = Pp.handle pool in
+  Pp.set_owner oh 1;
+  measure "Pagepool hand_over + try_adopt" iters (fun () ->
+      let p = Pp.alloc oh in
+      ignore (Pp.hand_over pool ~page:p ~from:1 ~to_:2);
+      ignore (Pp.try_adopt pool ~page:p ~from:2 ~owner:1);
+      Pp.release oh p);
   let send_entries = Array.make 1 0 in
   let entries = Array.make 1 0 in
   measure "desc enq + deq + handoff (obs on)" iters (fun () ->

@@ -426,6 +426,60 @@ let test_pool_handover_scoping () =
         pages)
     by_owner
 
+(* The page word under a real two-domain race.  A worker domain cycles one
+   page at a time: alloc under its slot stamp, hand it over to a fresh
+   direction id, publish the id, adopt the page back, release it.  The
+   main domain meanwhile reclaims every published id, as the reaper does
+   for a poisoned pair, and never the live slot.  A page whose hand-over
+   or adoption fails belongs to the reclaimer, which freed it; so every
+   handed-over page ends exactly once, adopted or reclaimed, and the pool
+   ends with every page free. *)
+let test_pool_word_race () =
+  let pool = Pp.create ~pages:64 () in
+  let h = Pp.handle pool in
+  let slot = 1 and iters = 20_000 in
+  Pp.set_owner h slot;
+  let published = Atomic.make (-1) and finished = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            let handed = ref 0 and adopted = ref 0 and exhausted = ref 0 and errors = ref [] in
+            (try
+               for i = 1 to iters do
+                 let page = Pp.alloc h and id = 1000 + (2 * i) in
+                 if page = Pp.no_page then incr exhausted
+                 else if Pp.hand_over pool ~page ~from:slot ~to_:id then begin
+                   incr handed;
+                   Atomic.set published id;
+                   for _ = 1 to 20 do
+                     Domain.cpu_relax ()
+                   done;
+                   if Pp.try_adopt pool ~page ~from:id ~owner:slot then begin
+                     incr adopted;
+                     Pp.release h page
+                   end
+                 end
+               done
+             with Invalid_argument msg -> errors := msg :: !errors);
+            (!handed, !adopted, !exhausted, !errors)))
+  in
+  let reclaimed = ref 0 and errors = ref [] in
+  (try
+     while not (Atomic.get finished) do
+       let id = Atomic.get published in
+       if id >= 0 then reclaimed := !reclaimed + Pp.reclaim_owners pool ~owners:[ id ]
+       else Domain.cpu_relax ()
+     done
+   with Invalid_argument msg -> errors := msg :: !errors);
+  let handed, adopted, exhausted, worker_errors = Domain.join worker in
+  Alcotest.(check (list string)) "no Invalid_argument escaped" [] (worker_errors @ !errors);
+  Alcotest.(check int) "the pool never ran dry" 0 exhausted;
+  Alcotest.(check int) "every handed-over page was adopted or reclaimed" handed
+    (adopted + !reclaimed);
+  Alcotest.(check int) "every page is free again" (Pp.pages pool) (Pp.free_pages pool)
+
 (* Crash recovery walks every registered token and lane: the registries
    grow instead of dropping.  With 600 tokens and 550 connections (so 550
    lanes) kept live, past the old 512- and 1024-slot tables, a token whose
@@ -682,4 +736,6 @@ let suite =
       test_pool_handover_scoping;
     Alcotest.test_case "reaper: registries keep every token and connection" `Quick
       test_registries_keep_every_entry;
+    Alcotest.test_case "pool: the page word arbitrates across domains" `Quick
+      test_pool_word_race;
   ]
