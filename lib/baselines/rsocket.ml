@@ -127,7 +127,7 @@ let side_cost cost len =
 let mtu_chunk = 8 * 1024
 
 let rec send conn buf ~off ~len =
-  if conn.closed then raise (Not_supported "send on closed rsocket");
+  if conn.closed then raise (Unix.Unix_error (Unix.EPIPE, "send", ""));
   if len = 0 then 0
   else begin
     let chunk = min len mtu_chunk in

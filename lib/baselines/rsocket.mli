@@ -21,6 +21,8 @@ val connect : Host.t -> dst:Host.t -> port:int -> conn
 val accept : listener -> conn
 
 val send : conn -> Bytes.t -> off:int -> len:int -> int
+(** Raises [Unix.Unix_error (EPIPE, _, _)] once either end closed. *)
+
 val recv : conn -> Bytes.t -> off:int -> len:int -> int
 val close : conn -> unit
 

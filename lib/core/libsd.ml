@@ -35,10 +35,9 @@ let m_forks = Obs.Metrics.counter "libsd.forks"
 let m_epoll_waits = Obs.Metrics.counter "libsd.epoll_waits"
 let h_send_size = Obs.Metrics.histogram "libsd.send_size"
 
-exception Connection_refused
-exception Broken_pipe
-exception Connection_reset
-exception Bad_fd of int
+(* Socket errors are the kernel's: [Unix.Unix_error] with the errno a
+   Linux socket returns and the call's name. *)
+let fail errno call = raise (Unix.Unix_error (errno, call, ""))
 
 type config = {
   batching : bool;  (** adaptive RDMA batching (§4.2); off in "SD (unopt)" *)
@@ -144,13 +143,15 @@ let destroy_thread th =
   th.ctx.threads <- th.ctx.threads - 1;
   Cpu.leave th.cpu
 
-let lookup th fd =
+let entry th fd ~call =
   match Fd_table.find th.ctx.fds fd with
   | Some e -> e
-  | None -> raise (Bad_fd fd)
+  | None -> fail Unix.EBADF call
 
-let sock_exn th fd =
-  match lookup th fd with
+let lookup th fd = entry th fd ~call:"lookup"
+
+let sock_exn th fd ~call =
+  match entry th fd ~call with
   | U s -> s
   | K _ | Ep _ -> invalid_arg "libsd: not a user-space socket"
 
@@ -163,13 +164,13 @@ let socket th =
   Fd_table.alloc th.ctx.fds (U (Sock.create th.ctx.host ~cost:th.ctx.cost ~tid:th.tid ~copy_mode:th.ctx.config.copy_policy ()))
 
 let bind th fd ~port =
-  let s = sock_exn th fd in
+  let s = sock_exn th fd ~call:"bind" in
   if s.Sock.state <> Sock.Closed then invalid_arg "libsd.bind: bad state";
   match Monitor.rpc th.ctx.monitor (fun reply -> Monitor.Bind { b_port = port; b_pid = th.ctx.uid; b_reply = reply }) with
   | Ok port ->
     s.Sock.local_port <- port;
     s.Sock.state <- Sock.Bound
-  | Error e -> invalid_arg ("libsd.bind: " ^ e)
+  | Error _ -> fail Unix.EADDRINUSE "bind"
 
 (* Register this thread as a listener for [port] with its own backlog. *)
 let register_listener th ~port =
@@ -187,7 +188,7 @@ let register_listener th ~port =
     lt
 
 let listen th fd =
-  let s = sock_exn th fd in
+  let s = sock_exn th fd ~call:"listen" in
   (match s.Sock.state with
   | Sock.Bound -> ()
   | _ -> invalid_arg "libsd.listen: socket not bound");
@@ -360,12 +361,14 @@ and leave_interrupt _th (s : Sock.t) =
 (* Consume control messages; returns true if [msg] was control. *)
 let handle_control (s : Sock.t) msg =
   match msg.Msg.kind with
-  | Msg.Control "FIN" ->
+  | Msg.Fin ->
     s.Sock.fin_seen <- true;
     Waitq.signal s.Sock.rx_wq;
     true
-  | Msg.Control _ -> true
+  | Msg.Ack -> true
   | Msg.Data -> false
+
+let signal kind = Msg.make ~kind (Msg.Inline Bytes.empty)
 
 (* ---- connect / accept (Figure 6) ---- *)
 
@@ -387,16 +390,15 @@ let attach_client th fd (s : Sock.t) reply =
     (* Wait for the server's ACK on the new queue. *)
     let rec await () =
       match next_msg th s with
-      | None -> raise Connection_refused
+      | None -> fail Unix.ECONNREFUSED "connect"
       | Some msg -> (
         match msg.Msg.kind with
-        | Msg.Control "ACK" -> ()
-        | Msg.Control "FIN" ->
+        | Msg.Ack -> ()
+        | Msg.Fin ->
           s.Sock.fin_seen <- true;
-          raise Connection_refused
-        | _ ->
+          fail Unix.ECONNREFUSED "connect"
+        | Msg.Data ->
           (* Data can never precede the ACK: the server sends ACK first. *)
-          ignore (handle_control s msg);
           await ())
     in
     await ();
@@ -408,10 +410,10 @@ let attach_client th fd (s : Sock.t) reply =
     Obs.Trace.emit Obs.Trace.Fallback;
     Fd_table.bind th.ctx.fds fd (K (kproc, kfd));
     s.Sock.state <- Sock.Established
-  | Monitor.Refused _ -> raise Connection_refused
+  | Monitor.Refused _ -> fail Unix.ECONNREFUSED "connect"
 
 let connect th fd ~dst ~port =
-  let s = sock_exn th fd in
+  let s = sock_exn th fd ~call:"connect" in
   (match s.Sock.state with
   | Sock.Closed | Sock.Bound -> ()
   | _ -> invalid_arg "libsd.connect: bad state");
@@ -436,13 +438,13 @@ let accept_entry th (entry : Monitor.syn_entry) ~port =
   link_pairing entry.Monitor.syn_pairing;
   s.Sock.state <- Sock.Wait_client;
   (* ACK completes the handshake; data may follow immediately (§4.5.2). *)
-  send_msg th s (Msg.control "ACK");
+  send_msg th s (signal Msg.Ack);
   s.Sock.state <- Sock.Established;
   Obs.Metrics.incr m_accepts;
   Fd_table.alloc th.ctx.fds (U s)
 
 let accept th fd =
-  let s = sock_exn th fd in
+  let s = sock_exn th fd ~call:"accept" in
   (match s.Sock.state with
   | Sock.Listening -> ()
   | _ -> invalid_arg "libsd.accept: not listening");
@@ -514,15 +516,14 @@ let send_records th (s : Sock.t) buf ~off ~len =
 
 let send th fd buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "libsd.send";
-  match lookup th fd with
+  match entry th fd ~call:"send" with
   | K (kproc, kfd) -> Kernel.send kproc kfd buf ~off ~len
   | Ep _ -> invalid_arg "libsd.send: epoll fd"
   | U s ->
-    if s.Sock.reset then raise Broken_pipe;
-    if s.Sock.fin_sent then raise Broken_pipe;
+    if s.Sock.reset || s.Sock.fin_sent then fail Unix.EPIPE "send";
     (match s.Sock.state with
     | Sock.Established -> ()
-    | _ -> invalid_arg "libsd.send: not connected");
+    | _ -> fail Unix.ENOTCONN "send");
     Obs.Metrics.incr m_sends;
     Obs.Metrics.add m_send_bytes len;
     Obs.Metrics.observe h_send_size len;
@@ -575,12 +576,9 @@ let consume th (s : Sock.t) msg ~dst ~off ~len =
       if not remapped then Proc.sleep_ns (Cost.copy_cost th.ctx.cost n);
       n
   in
-  (match msg.Msg.kind with
-  | Msg.Data ->
-    Sds_obs.Span.observe_stages ~seq:msg.Msg.seq ~send:msg.Msg.span_send ~pub:msg.Msg.span_pub
-      ~vis:msg.Msg.span_vis ~deq:msg.Msg.span_deq ~parsed:msg.Msg.span_parse
-      ~done_:(Sds_obs.Span.now ()) ~remapped
-  | Msg.Control _ -> ());
+  Sds_obs.Span.observe_stages ~seq:msg.Msg.seq ~send:msg.Msg.span_send ~pub:msg.Msg.span_pub
+    ~vis:msg.Msg.span_vis ~deq:msg.Msg.span_deq ~parsed:msg.Msg.span_parse
+    ~done_:(Sds_obs.Span.now ()) ~remapped;
   n
 
 let received (s : Sock.t) n =
@@ -593,16 +591,16 @@ let received (s : Sock.t) n =
    (we already hold the recv token), and land it.  0 on EOF. *)
 let rec recv_msg th (s : Sock.t) buf ~off ~len =
   match next_msg th s with
-  | None -> if s.Sock.reset then raise Connection_reset else 0
+  | None -> if s.Sock.reset then fail Unix.ECONNRESET "recv" else 0
   | Some msg when handle_control s msg ->
-    if s.Sock.reset then raise Connection_reset
+    if s.Sock.reset then fail Unix.ECONNRESET "recv"
     else if Sock.is_eof s then 0
     else recv_msg th s buf ~off ~len
   | Some msg -> received s (consume th s msg ~dst:buf ~off ~len)
 
 let recv th fd buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then invalid_arg "libsd.recv";
-  match lookup th fd with
+  match entry th fd ~call:"recv" with
   | K (kproc, kfd) -> Kernel.recv kproc kfd buf ~off ~len
   | Ep _ -> invalid_arg "libsd.recv: epoll fd"
   | U s ->
@@ -612,7 +610,7 @@ let recv th fd buf ~off ~len =
         if s.Sock.reset then begin
           Core.drop s.Sock.cursor;
           Queue.clear s.Sock.incoming;
-          raise Connection_reset
+          fail Unix.ECONNRESET "recv"
         end;
         if Core.pending s.Sock.cursor then
           received s (Core.take s.Sock.cursor buf ~off ~len)
@@ -624,12 +622,12 @@ let shutdown_send th (s : Sock.t) =
   if not s.Sock.fin_sent then begin
     s.Sock.fin_sent <- true;
     match s.Sock.tx with
-    | Some _ -> ( try send_msg th s (Msg.control "FIN") with _ -> ())
+    | Some _ -> ( try send_msg th s (signal Msg.Fin) with _ -> ())
     | None -> ()
   end
 
 let shutdown th fd how =
-  match lookup th fd with
+  match entry th fd ~call:"shutdown" with
   | K (kproc, kfd) -> (
     match Kernel.lookup kproc kfd with
     | Kernel.Tcp ep -> if how <> `Recv then Kernel.shutdown_send ep
@@ -641,7 +639,7 @@ let shutdown th fd how =
     | `Recv -> s.Sock.fin_seen <- true)
 
 let close th fd =
-  match lookup th fd with
+  match entry th fd ~call:"close" with
   | K (kproc, kfd) ->
     ignore (Fd_table.close th.ctx.fds fd);
     Kernel.close kproc kfd
@@ -729,8 +727,8 @@ let epoll_create th =
   Fd_table.alloc th.ctx.fds
     (Ep { ep_watched = Hashtbl.create 8; ep_wq = Waitq.create (); ep_hooked = Hashtbl.create 8 })
 
-let epoll_exn th fd =
-  match lookup th fd with
+let epoll_exn th fd ~call =
+  match entry th fd ~call with
   | Ep e -> e
   | _ -> invalid_arg "libsd: not an epoll fd"
 
@@ -790,11 +788,11 @@ let watch_kernel_fd ctx ~kfd ~wq =
     | _ -> ())
 
 let epoll_add th epfd fd =
-  let e = epoll_exn th epfd in
+  let e = epoll_exn th epfd ~call:"epoll_ctl" in
   Hashtbl.replace e.ep_watched fd ();
   if not (Hashtbl.mem e.ep_hooked fd) then begin
     Hashtbl.replace e.ep_hooked fd ();
-    match lookup th fd with
+    match entry th fd ~call:"epoll_ctl" with
     | U s ->
       Sock.add_deliver_hook s (fun () -> Waitq.signal e.ep_wq);
       (match s.Sock.rx with
@@ -807,7 +805,7 @@ let epoll_add th epfd fd =
   end
 
 let epoll_del th epfd fd =
-  let e = epoll_exn th epfd in
+  let e = epoll_exn th epfd ~call:"epoll_ctl" in
   Hashtbl.remove e.ep_watched fd
 
 let fd_readable th fd =
@@ -835,7 +833,7 @@ let poll_readable th fd =
 
 (* Level-triggered epoll_wait over mixed user/kernel FDs. *)
 let epoll_wait th epfd ?timeout_ns () =
-  let e = epoll_exn th epfd in
+  let e = epoll_exn th epfd ~call:"epoll_wait" in
   Obs.Metrics.incr m_epoll_waits;
   Proc.sleep_ns th.ctx.cost.Cost.c_shim;
   let scan () =
@@ -887,7 +885,7 @@ let epoll_wait th epfd ?timeout_ns () =
 (* ---- stats ---- *)
 
 let sock_stats th fd =
-  let s = sock_exn th fd in
+  let s = sock_exn th fd ~call:"getsockopt" in
   ( s.Sock.bytes_sent,
     s.Sock.bytes_received,
     s.Sock.zerocopy_sends,
@@ -984,29 +982,27 @@ let register_kernel_fd th kfd = Fd_table.alloc th.ctx.fds (K (th.ctx.kproc, kfd)
 
 (* ---- non-blocking mode, dup, poll/select (compatibility surface) ---- *)
 
-exception Would_block
-
 (* fcntl(F_SETFL, O_NONBLOCK) equivalent. *)
 let set_nonblocking th fd flag =
   Proc.sleep_ns th.ctx.cost.Cost.c_shim;
-  match lookup th fd with
+  match entry th fd ~call:"fcntl" with
   | U s -> s.Sock.nonblocking <- flag
   | K _ | Ep _ -> invalid_arg "libsd.set_nonblocking: not a user socket"
 
-(* Non-blocking receive: raises [Would_block] instead of sleeping. *)
+(* Non-blocking receive: EAGAIN instead of sleeping. *)
 let try_recv th fd buf ~off ~len =
-  match lookup th fd with
+  match entry th fd ~call:"recv" with
   | U s when s.Sock.nonblocking ->
     Token.with_held s.Sock.recv_token ~tid:th.tid (fun () ->
         ignore (Sock.poll_rx s);
         if Sock.has_buffered s || Sock.is_eof s then recv th fd buf ~off ~len
-        else raise Would_block)
+        else fail Unix.EAGAIN "recv")
   | _ -> recv th fd buf ~off ~len
 
 (* dup(2): a second descriptor for the same open object. *)
 let dup th fd =
   Proc.sleep_ns th.ctx.cost.Cost.c_shim;
-  let e = lookup th fd in
+  let e = entry th fd ~call:"dup" in
   (match e with
   | U s -> s.Sock.refs <- s.Sock.refs + 1
   | K _ | Ep _ -> ());
@@ -1058,9 +1054,9 @@ let simulate_crash ctx =
       | K _ | Ep _ -> ())
 
 (* The hard flavour (§4.3): no drain, no graceful EOF.  Peers observe a
-   reset — blocked receivers wake with [Connection_reset], senders get
-   [Broken_pipe] — and the monitor releases the dead pid's port binds so
-   a restarted server can bind again. *)
+   reset — blocked receivers wake with ECONNRESET, senders get EPIPE —
+   and the monitor releases the dead pid's port binds so a restarted
+   server can bind again. *)
 let simulate_abort ctx =
   Fd_table.iter ctx.fds (fun _ e ->
       match e with

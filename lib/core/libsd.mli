@@ -7,22 +7,20 @@
     The API mirrors POSIX sockets — socket / bind / listen / accept /
     connect / send / recv / shutdown / close / epoll / poll / select — plus
     fork, exec, and container live migration.  All calls except {!init} must
-    run inside a simulated proc. *)
+    run inside a simulated proc.
+
+    Socket errors are the kernel's: every call raises
+    [Unix.Unix_error (errno, call, "")] with the errno a Linux socket
+    returns — EBADF for an unknown fd, EADDRINUSE from [bind],
+    ECONNREFUSED from [connect], ENOTCONN from [send] before [connect],
+    EPIPE from [send] after this end's shutdown or the peer's abort,
+    ECONNRESET from [recv] after the peer's abort (dropping any buffered
+    data, reset semantics) and EAGAIN from [try_recv].  A kernel fd (TCP
+    fallback) raises the same errnos through {!Kernel}. *)
 
 open Sds_transport
 module Kernel = Sds_kernel.Kernel
 module Fd_table = Sds_kernel.Fd_table
-
-exception Connection_refused
-exception Broken_pipe
-
-exception Connection_reset
-(** The peer died abnormally (ECONNRESET): raised by [recv] — dropping any
-    buffered data, reset semantics — on a socket whose peer [simulate_abort]ed;
-    [send] raises [Broken_pipe] (EPIPE) instead. *)
-
-exception Bad_fd of int
-exception Would_block
 
 type config = {
   batching : bool;  (** adaptive RDMA batching (§4.2); off in "SD (unopt)" *)
@@ -79,7 +77,7 @@ val simulate_crash : process_ctx -> unit
 
 val simulate_abort : process_ctx -> unit
 (** The hard flavour of [simulate_crash] (§4.3): no drain — peers observe a
-    reset ([Connection_reset] on recv, [Broken_pipe] on send), and the
+    reset (ECONNRESET on recv, EPIPE on send), and the
     monitor releases the dead pid's port binds so a restarted server can
     bind the same port. *)
 
@@ -99,7 +97,7 @@ val send : thread -> int -> Bytes.t -> off:int -> len:int -> int
 val recv : thread -> int -> Bytes.t -> off:int -> len:int -> int
 
 val try_recv : thread -> int -> Bytes.t -> off:int -> len:int -> int
-(** Raises {!Would_block} on an O_NONBLOCK socket with nothing buffered. *)
+(** Raises EAGAIN on an O_NONBLOCK socket with nothing buffered. *)
 
 val set_nonblocking : thread -> int -> bool -> unit
 val dup : thread -> int -> int

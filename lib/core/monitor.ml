@@ -119,7 +119,7 @@ and handle t req =
            connect (fallback path, §4.5.3). *)
         let kfd = Sds_kernel.Kernel.socket t.kernel_proc in
         (try Sds_kernel.Kernel.listen t.kernel_proc kfd ~port:l_port ()
-         with Sds_kernel.Kernel.Address_in_use _ -> ());
+         with Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
         let g = { port = l_port; threads = []; rr = 0 } in
         Hashtbl.replace t.listeners l_port g;
         g
@@ -295,7 +295,7 @@ and handle_syn t ~dst ~port ~src_pid ~reply =
       (try
          Sds_kernel.Kernel.connect kproc kfd ~dst ~port;
          reply (Fallback (kproc, kfd))
-       with Sds_kernel.Kernel.Connection_refused -> reply (Refused "connection refused"))
+       with Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> reply (Refused "connection refused"))
   end
 
 (* The first contact with a peer host costs the raw-socket handshake with

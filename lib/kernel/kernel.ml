@@ -40,10 +40,9 @@ let string_of_state = function
   | Closing -> "CLOSING"
   | Time_wait -> "TIME_WAIT"
 
-exception Connection_refused
-exception Not_a_socket
-exception Bad_fd of int
-exception Address_in_use of int
+(* Errors are raised as a real kernel returns them: [Unix.Unix_error] with
+   the errno and the call's name. *)
+let fail errno call = raise (Unix.Unix_error (errno, call, ""))
 
 type t = {
   host : Host.t;
@@ -143,10 +142,12 @@ let fork proc =
       | Epoll _ | Plain_file _ -> ());
   child
 
-let lookup proc fd =
+let find proc fd ~call =
   match Fd_table.find proc.fds fd with
   | Some obj -> obj
-  | None -> raise (Bad_fd fd)
+  | None -> fail Unix.EBADF call
+
+let lookup proc fd = find proc fd ~call:"lookup"
 
 let alloc_fd proc obj =
   proc.kernel.fd_allocs <- proc.kernel.fd_allocs + 1;
@@ -169,16 +170,16 @@ let socket proc =
 let listen proc fd ~port ?(backlog = 128) () =
   let t = proc.kernel in
   Proc.sleep_ns (Cost.syscall t.cost);
-  match lookup proc fd with
+  match find proc fd ~call:"listen" with
   | Tcp ep ->
-    if Hashtbl.mem t.listeners port then raise (Address_in_use port);
+    if Hashtbl.mem t.listeners port then fail Unix.EADDRINUSE "listen";
     if ep.state <> Closed then invalid_arg "Kernel.listen: bad state";
     ep.state <- Listen;
     ep.local_port <- port;
     let l = { l_kernel = t; l_port = port; backlog = Queue.create (); accept_wq = Waitq.create (); max_backlog = backlog; l_refs = 1 } in
     Hashtbl.replace t.listeners port l;
     Fd_table.bind proc.fds fd (Tcp_listener l)
-  | _ -> raise Not_a_socket
+  | _ -> fail Unix.ENOTSOCK "listen"
 
 let ephemeral_port t =
   let p = t.next_ephemeral in
@@ -203,7 +204,7 @@ let wire_up client server ~intra =
    backlog is full. *)
 let connect proc fd ~dst ~port =
   let t = proc.kernel in
-  match lookup proc fd with
+  match find proc fd ~call:"connect" with
   | Tcp ep ->
     if ep.state <> Closed then invalid_arg "Kernel.connect: bad state";
     let dst_kernel = for_host dst in
@@ -214,11 +215,11 @@ let connect proc fd ~dst ~port =
     (match Hashtbl.find_opt dst_kernel.listeners port with
     | None ->
       ep.state <- Closed;
-      raise Connection_refused
+      fail Unix.ECONNREFUSED "connect"
     | Some l ->
       if Queue.length l.backlog >= l.max_backlog then begin
         ep.state <- Closed;
-        raise Connection_refused
+        fail Unix.ECONNREFUSED "connect"
       end;
       t.conn_setups <- t.conn_setups + 1;
       let server_ep = make_ep dst_kernel in
@@ -231,13 +232,13 @@ let connect proc fd ~dst ~port =
       server_ep.state <- Established;
       Queue.push server_ep l.backlog;
       Waitq.signal l.accept_wq)
-  | _ -> raise Not_a_socket
+  | _ -> fail Unix.ENOTSOCK "connect"
 
 (* accept(): blocking dequeue from the backlog; allocates the new FD. *)
 let accept proc fd =
   let t = proc.kernel in
   Proc.sleep_ns (Cost.syscall t.cost + t.cost.Cost.spinlock);
-  match lookup proc fd with
+  match find proc fd ~call:"accept" with
   | Tcp_listener l ->
     let rec next () =
       match Queue.take_opt l.backlog with
@@ -247,7 +248,7 @@ let accept proc fd =
         next ()
     in
     next ()
-  | _ -> raise Not_a_socket
+  | _ -> fail Unix.ENOTSOCK "accept"
 
 let established ep = ep.state = Established
 
@@ -259,23 +260,23 @@ let rx_exn ep =
 
 (* send(): blocking stream write. *)
 let send proc fd src ~off ~len =
-  match lookup proc fd with
+  match find proc fd ~call:"send" with
   | Tcp ep ->
     (match ep.state with
     | Established | Close_wait -> Kstream.write (tx_exn ep) src ~off ~len
-    | _ -> raise Kstream.Broken_pipe)
+    | _ -> fail Unix.EPIPE "send")
   | Pipe_w pe -> Kstream.write pe.pstream src ~off ~len
-  | _ -> raise Not_a_socket
+  | _ -> fail Unix.ENOTSOCK "send"
 
 (* recv(): blocking stream read; 0 = orderly EOF. *)
 let recv proc fd dst ~off ~len =
-  match lookup proc fd with
+  match find proc fd ~call:"recv" with
   | Tcp ep ->
     (match ep.state with
     | Established | Fin_wait_1 | Fin_wait_2 | Close_wait -> Kstream.read (rx_exn ep) dst ~off ~len
     | _ -> 0)
   | Pipe_r pe -> Kstream.read pe.pstream dst ~off ~len
-  | _ -> raise Not_a_socket
+  | _ -> fail Unix.ENOTSOCK "recv"
 
 let shutdown_send ep =
   (match ep.tx with Some s -> Kstream.close_write s | None -> ());
@@ -312,28 +313,26 @@ let close_ep ep =
 let close proc fd =
   let t = proc.kernel in
   Proc.sleep_ns (Cost.syscall t.cost);
-  match Fd_table.find proc.fds fd with
-  | None -> raise (Bad_fd fd)
-  | Some obj ->
-    ignore (Fd_table.close proc.fds fd);
-    (match obj with
-    | Tcp ep -> close_ep ep
-    | Tcp_listener l ->
-      l.l_refs <- l.l_refs - 1;
-      if l.l_refs <= 0 then Hashtbl.remove t.listeners l.l_port
-    | Pipe_r pe ->
-      pe.p_refs <- pe.p_refs - 1;
-      if pe.p_refs <= 0 then Kstream.close_read pe.pstream
-    | Pipe_w pe ->
-      pe.p_refs <- pe.p_refs - 1;
-      if pe.p_refs <= 0 then Kstream.close_write pe.pstream
-    | Epoll _ | Plain_file _ -> ())
+  let obj = find proc fd ~call:"close" in
+  ignore (Fd_table.close proc.fds fd);
+  match obj with
+  | Tcp ep -> close_ep ep
+  | Tcp_listener l ->
+    l.l_refs <- l.l_refs - 1;
+    if l.l_refs <= 0 then Hashtbl.remove t.listeners l.l_port
+  | Pipe_r pe ->
+    pe.p_refs <- pe.p_refs - 1;
+    if pe.p_refs <= 0 then Kstream.close_read pe.pstream
+  | Pipe_w pe ->
+    pe.p_refs <- pe.p_refs - 1;
+    if pe.p_refs <= 0 then Kstream.close_write pe.pstream
+  | Epoll _ | Plain_file _ -> ()
 
 let tcp_state proc fd =
-  match lookup proc fd with
+  match find proc fd ~call:"getsockopt" with
   | Tcp ep -> ep.state
   | Tcp_listener _ -> Listen
-  | _ -> raise Not_a_socket
+  | _ -> fail Unix.ENOTSOCK "getsockopt"
 
 (* ---- plain files ---- *)
 

@@ -7,6 +7,9 @@
     TCP state machine is the RFC 793 subset driven by connect / accept /
     shutdown / close.
 
+    Errors are the kernel's: [Unix.Unix_error (errno, call, "")] with
+    EBADF, ENOTSOCK, EADDRINUSE, ECONNREFUSED or EPIPE.
+
     All blocking calls must run inside a simulated proc. *)
 
 open Sds_sim
@@ -26,11 +29,6 @@ type tcp_state =
   | Time_wait
 
 val string_of_state : tcp_state -> string
-
-exception Connection_refused
-exception Not_a_socket
-exception Bad_fd of int
-exception Address_in_use of int
 
 type t
 
@@ -87,7 +85,7 @@ val fork : process -> process
 (** FD table copied; shared objects gain a reference. *)
 
 val lookup : process -> int -> kobj
-(** Raises {!Bad_fd}. *)
+(** Raises [Unix.Unix_error (EBADF, _, _)]. *)
 
 (* ---- TCP ---- *)
 

@@ -132,14 +132,14 @@ let notify_readable t =
 
 let packets_for t len = max 1 ((len + t.profile.mtu - 1) / t.profile.mtu)
 
-exception Broken_pipe
+let epipe () = raise (Unix.Unix_error (Unix.EPIPE, "send", ""))
 
 (* Blocking write of the whole buffer; returns bytes written (= len).
    Charges: one syscall + FD lock per call, per-packet sender CPU, and the
-   outbound copy.  Raises [Broken_pipe] when the read side is closed. *)
+   outbound copy.  Raises EPIPE when the read side is closed. *)
 let rec write t src ~off ~len =
   if t.write_closed then invalid_arg "Kstream.write: stream closed";
-  if t.read_closed then raise Broken_pipe;
+  if t.read_closed then epipe ();
   let p = t.profile in
   Proc.sleep_ns (p.syscall + p.fd_lock);
   write_flow t src ~off ~len
@@ -152,7 +152,7 @@ and write_flow t src ~off ~len =
     if room <= 0 then begin
       (* Buffer full: block until the reader drains. *)
       (match Waitq.wait t.writable with _ -> ());
-      if t.read_closed then raise Broken_pipe;
+      if t.read_closed then epipe ();
       write_flow t src ~off ~len
     end
     else begin

@@ -34,8 +34,6 @@ val tcp_inter_profile : Cost.t -> profile
 
 type t
 
-exception Broken_pipe
-
 val create : Engine.t -> profile:profile -> t
 val profile : t -> profile
 
@@ -54,7 +52,8 @@ val on_readable : t -> (unit -> unit) -> unit
 (** Edge callbacks for epoll. *)
 
 val write : t -> Bytes.t -> off:int -> len:int -> int
-(** Blocking full write; raises {!Broken_pipe} when the read side closed. *)
+(** Blocking full write; raises [Unix.Unix_error (EPIPE, _, _)] when the
+    read side closed. *)
 
 val read : t -> Bytes.t -> off:int -> len:int -> int
 (** Blocking read of up to [len] bytes; 0 = EOF. *)

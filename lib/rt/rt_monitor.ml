@@ -153,7 +153,7 @@ let connect t ~dom =
   in
   (* Chaos site: die after creating the pair, before the backlog push —
      the fork-storm shape: a connection exists that no worker will ever
-     see, and the client end must fail with [Peer_dead], not hang. *)
+     see, and the client end must fail with EPIPE or ECONNRESET, not hang. *)
   if Sds_fault.armed () then Sds_fault.inject "rt_monitor.connect";
   Mutex.lock w.w_mu;
   Queue.push server_end w.w_backlog;

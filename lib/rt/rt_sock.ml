@@ -29,10 +29,9 @@
    flag.  When a domain dies ([Rt_dom.on_death] hook below), the tokens it
    held on any lane's connection are granted or freed, then every
    connection it was involved in is poisoned and its parked waiters
-   kicked: blocking
-   operations on either end raise [Peer_dead] (EPIPE on send, ECONNRESET
-   on recv) instead of hanging.  The reaper then frees the dead slot's
-   pages and the published pages of the pairs it poisoned
+   kicked: blocking operations on either end raise EPIPE on send and
+   ECONNRESET on recv instead of hanging.  The reaper then frees the dead
+   slot's pages and the published pages of the pairs it poisoned
    ([Pagepool.reclaim_owners]); published pages of healthy pairs carry
    their direction's id, so a dead sender's reclaim never touches them.
    Receivers adopt descriptor pages before touching the payload, so
@@ -48,7 +47,11 @@ module Copy_policy = Sds_proto.Copy_policy
 module Core = Sds_proto.Stream_core
 module Obs = Sds_obs.Obs
 
-exception Peer_dead
+(* Socket errors as the kernel raises them, preallocated so that no
+   raise site allocates: EPIPE for a send on a closed or poisoned
+   connection, ECONNRESET for a recv on a poisoned one. *)
+let epipe = Unix.Unix_error (Unix.EPIPE, "send", "")
+let econnreset = Unix.Unix_error (Unix.ECONNRESET, "recv", "")
 
 let flag_fin = 0x200
 let max_inline = Core.max_inline
@@ -300,8 +303,8 @@ let poisoned t = Atomic.get t.dead
 (* Declare the connection dead and kick everyone out of their parks: both
    rings' rx/tx waiters and every slot parked on the four tokens.  The
    kicked waiters re-check their (poison-aware) conditions and raise
-   [Peer_dead].  Idempotent; the flag is shared, so poisoning either
-   endpoint poisons the pair. *)
+   EPIPE or ECONNRESET.  Idempotent; the flag is shared, so poisoning
+   either endpoint poisons the pair. *)
 let poison t =
   if not (Atomic.exchange t.dead true) then Obs.Metrics.incr m_poisoned;
   Waiter.notify (R.rx_waiter t.tx.ring);
@@ -316,7 +319,7 @@ let poison t =
     Rt_token.kick p.recv_tok
   | None -> ()
 
-let[@inline] check_poison t = if Atomic.get t.dead then raise Peer_dead
+let[@inline] check_poison t err = if Atomic.get t.dead then raise err
 
 (* Bounded poison-aware parks: the ready conditions are the ring's own
    progress conditions *or* poison, and the deadline bounds the silence
@@ -324,7 +327,7 @@ let[@inline] check_poison t = if Atomic.get t.dead then raise Peer_dead
 let park_window_ns = 10_000_000
 
 let wait_tx_p t ~len =
-  check_poison t;
+  check_poison t epipe;
   let ring = t.tx.ring in
   let need = R.record_bytes len in
   ignore
@@ -333,7 +336,7 @@ let wait_tx_p t ~len =
        ~ready:(fun () -> Atomic.get t.dead || R.credits ring >= need))
 
 let wait_rx_p t =
-  check_poison t;
+  check_poison t econnreset;
   let ring = t.rx.ring in
   ignore
     (Waiter.wait_until (R.rx_waiter ring)
@@ -356,7 +359,7 @@ let hand_over t ~dom ~n =
   for i = 0 to n - 1 do
     if not (Pp.hand_over pool ~page:(R.desc_page t.stage.(i)) ~from:dom ~to_:t.tx.id) then begin
       poison t;
-      raise Peer_dead
+      raise epipe
     end
   done
 
@@ -366,8 +369,8 @@ let hand_over t ~dom ~n =
    slot — what [reclaim_owners] frees if we die before publishing — and
    hands them over to the direction's id just before the enqueue. *)
 let send_locked t ~dom buf ~off ~len =
-  if t.fin_tx then invalid_arg "Rt_sock.send: after close";
-  check_poison t;
+  if t.fin_tx then raise epipe;
+  check_poison t epipe;
   let stop = off + len in
   (* Chaos site: die between the records of one streamed payload. *)
   let published ~off ~len =
@@ -435,8 +438,8 @@ let send_burst t ~dom srcs ~n =
   let bytes = !bytes in
   operate t ~dom;
   Rt_token.with_held t.send_tok ~dom (fun () ->
-      if t.fin_tx then invalid_arg "Rt_sock.send_burst: after close";
-      check_poison t;
+      if t.fin_tx then raise epipe;
+      check_poison t epipe;
       let sent = ref 0 in
       while !sent < n do
         let want = min (Batch_ctl.budget t.batch) (n - !sent) in
@@ -492,7 +495,7 @@ let next_record t ~dom dst ~off ~len =
         in
         if n = Core.lost then begin
           poison t;
-          raise Peer_dead
+          raise econnreset
         end;
         n
       end
@@ -528,7 +531,7 @@ let recv_locked t ~dom dst ~off ~len =
     if Atomic.get t.dead then begin
       (* Reset semantics: a partly read record is dropped with the rest. *)
       if Core.pending t.cursor then Core.drop t.cursor;
-      raise Peer_dead
+      raise econnreset
     end;
     let n =
       if Core.pending t.cursor then Core.take t.cursor dst ~off ~len
@@ -563,7 +566,7 @@ let close t ~dom =
              done;
              fin_event t
            end)
-     with Peer_dead -> ());
+     with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
   Rt_token.release t.send_tok ~dom;
   Rt_token.release t.recv_tok ~dom
 

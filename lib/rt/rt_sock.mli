@@ -7,7 +7,7 @@
     sends a payload inline in ring records or stages it into pool pages
     that cross as page-descriptor records.  [send] may split into several
     records; [recv] returns at most one sender batch of records per call
-    ({!Sds_proto.Batch_ctl.initial_budget}), a zero-length [flag_fin]
+    ({!Sds_proto.Batch_ctl.initial_budget}), a zero-length FIN-flagged
     record carries EOF.  Every lane registers, once, in the [rt_conn]
     flight-recorder section and holds its current connection, so a
     connection registers nothing and a finished one dies in the minor
@@ -25,8 +25,10 @@
     Crash compatibility (§4.3): when a domain dies, the tokens it held on
     any lane's current connection are granted to their pending requester
     or freed; then every connection it was involved in is poisoned —
-    blocking operations on the surviving end raise {!Peer_dead} instead
-    of hanging (EPIPE on send, ECONNRESET on recv) — and the dead
+    blocking operations on the surviving end raise
+    [Unix.Unix_error (EPIPE, "send", "")] and
+    [Unix.Unix_error (ECONNRESET, "recv", "")] instead of hanging, and
+    [recv] drops any buffered data (reset semantics) — and the dead
     incarnation's pages and the pair's unadopted published pages are
     reclaimed; a connection the dead domain was not
     involved in keeps the pages it published.  Pages of a connection
@@ -35,19 +37,11 @@
 
 type t
 
-exception Peer_dead
-(** The connection was poisoned by a peer crash.  Send-side it is EPIPE,
-    recv-side ECONNRESET; any buffered data is dropped (reset
-    semantics). *)
-
 val max_inline : int
 (** Largest inline chunk of a [send] (8 KiB): {!Sds_proto.Stream_core.max_inline}. *)
 
 val max_desc_per_record : int
 (** Pages per descriptor record (256): {!Sds_proto.Stream_core.max_desc_per_record}. *)
-
-val flag_fin : int
-(** Record flag carrying EOF. *)
 
 val free_lanes_max : int
 (** Bound of the recycled-lane free list (16 lanes). *)
@@ -65,10 +59,11 @@ val lane : t -> int
 
 val send : t -> dom:int -> Bytes.t -> off:int -> len:int -> unit
 (** Stream [len] bytes as one token-held operation (blocking on ring
-    credits).  One copy decision per call, driven by the payload sizes
-    alone: on the zero-copy side each descriptor record waits for its
-    ring room, stages its pages in the process pool and hands them over
-    to the connection direction just before the enqueue, falling back to
+    credits); EPIPE after this end's [close] or on a poisoned pair.  One
+    copy decision per call, driven by the payload sizes alone: on the
+    zero-copy side each descriptor record waits for its ring room,
+    stages its pages in the process pool and hands them over to the
+    connection direction just before the enqueue, falling back to
     inline copies when the pool is exhausted. *)
 
 val send_burst : t -> dom:int -> (Bytes.t * int * int) array -> n:int -> unit
@@ -114,8 +109,8 @@ val recv_token : t -> Rt_token.t
 
 val poison : t -> unit
 (** Declare the pair dead and kick every parked waiter on its rings and
-    tokens; blocking operations on either end raise {!Peer_dead} from
-    then on.  Idempotent.  Called automatically by the {!Rt_dom.on_death}
+    tokens; blocking operations on either end raise EPIPE (send) or
+    ECONNRESET (recv) from then on.  Idempotent.  Called automatically by the {!Rt_dom.on_death}
     hook for connections the dead slot was involved in. *)
 
 val poisoned : t -> bool

@@ -78,4 +78,4 @@ val reap : t -> unit
 val kick : t -> unit
 (** Wake every slot parked on this token so it re-checks its condition —
     used when poisoning a connection whose waiters must now fail with
-    [Peer_dead]. *)
+    EPIPE or ECONNRESET. *)

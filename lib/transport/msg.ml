@@ -11,7 +11,8 @@ type payload =
 
 type kind =
   | Data
-  | Control of string  (** connection management / monitor commands *)
+  | Ack  (** completes the connect handshake (Figure 6) *)
+  | Fin  (** orderly end of the stream *)
 
 type t = {
   seq : int;
@@ -47,7 +48,6 @@ let make ?(kind = Data) payload =
 
 let data bytes = make (Inline bytes)
 let data_string s = data (Bytes.of_string s)
-let control tag = make ~kind:(Control tag) (Inline Bytes.empty)
 
 let payload_len t =
   match t.payload with

@@ -13,7 +13,8 @@ type payload =
 
 type kind =
   | Data
-  | Control of string  (** connection management / monitor commands *)
+  | Ack  (** completes the connect handshake (Figure 6) *)
+  | Fin  (** orderly end of the stream *)
 
 type t = {
   seq : int;
@@ -30,7 +31,6 @@ type t = {
 val make : ?kind:kind -> payload -> t
 val data : Bytes.t -> t
 val data_string : string -> t
-val control : string -> t
 
 val payload_len : t -> int
 (** Application bytes carried. *)

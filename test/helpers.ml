@@ -37,3 +37,14 @@ let wait_for flag =
 
 let check_bytes msg expected actual =
   Alcotest.(check string) msg (Bytes.to_string expected) (Bytes.to_string actual)
+
+(* Every stack raises socket errors as [Unix.Unix_error]: the errno [f]
+   raises, whatever call name the stack reports, or [None]. *)
+let errno_of f =
+  match f () with
+  | _ -> None
+  | exception Unix.Unix_error (e, _, _) -> Some e
+
+let errno = Alcotest.testable (fun ppf e -> Fmt.string ppf (Unix.error_message e)) ( = )
+
+let check_errno msg expected f = Alcotest.(check (option errno)) msg (Some expected) (errno_of f)

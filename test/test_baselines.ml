@@ -64,6 +64,24 @@ let test_rsocket_no_epoll_no_fork () =
   Alcotest.check_raises "fork unsupported" (R.Not_supported "rsocket: fork not supported")
     (fun () -> R.fork ())
 
+(* A send on a closed rsocket fails as a kernel socket's does: EPIPE. *)
+let test_rsocket_send_after_close () =
+  let w = make_world () in
+  let h1 = add_host w in
+  let h2 = add_host w in
+  let ready = ref false in
+  ignore
+    (spawn w "rs-closed-server" (fun () ->
+         let l = R.listen h2 ~port:103 in
+         ready := true;
+         ignore (R.accept l)));
+  run w (fun () ->
+      wait_for ready;
+      let c = R.connect h1 ~dst:h2 ~port:103 in
+      R.close c;
+      check_errno "send after close" Unix.EPIPE (fun () ->
+          R.send c (Bytes.of_string "late") ~off:0 ~len:4))
+
 let test_libvma_echo_inter () =
   let w = make_world () in
   let h1 = add_host w in
@@ -154,4 +172,5 @@ let suite =
     Alcotest.test_case "libvma intra-host kernel fallback" `Quick test_libvma_intra_kernel_fallback;
     Alcotest.test_case "libvma lock contention model" `Quick test_libvma_contention_model;
     Alcotest.test_case "table 3 feature matrix" `Quick test_features_matrix;
+    Alcotest.test_case "rsocket send after close is EPIPE" `Quick test_rsocket_send_after_close;
   ]

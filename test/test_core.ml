@@ -436,8 +436,7 @@ let test_connect_refused () =
       let ctx = L.init h in
       let th = L.create_thread ctx ~core:0 () in
       let fd = L.socket th in
-      Alcotest.check_raises "no listener" L.Connection_refused (fun () ->
-          L.connect th fd ~dst:h ~port:4444))
+      check_errno "no listener" Unix.ECONNREFUSED (fun () -> L.connect th fd ~dst:h ~port:4444))
 
 let test_access_control () =
   let w = make_world () in
@@ -449,8 +448,7 @@ let test_access_control () =
       let ctx = L.init h in
       let th = L.create_thread ctx ~core:0 () in
       let fd = L.socket th in
-      Alcotest.check_raises "ACL denies" L.Connection_refused (fun () ->
-          L.connect th fd ~dst:h ~port:89))
+      check_errno "ACL denies" Unix.ECONNREFUSED (fun () -> L.connect th fd ~dst:h ~port:89))
 
 let test_bind_port_conflict () =
   let w = make_world () in
@@ -461,8 +459,7 @@ let test_bind_port_conflict () =
       let a = L.socket th in
       L.bind th a ~port:90;
       let b = L.socket th in
-      Alcotest.check_raises "EADDRINUSE" (Invalid_argument "libsd.bind: address in use")
-        (fun () -> L.bind th b ~port:90))
+      check_errno "EADDRINUSE" Unix.EADDRINUSE (fun () -> L.bind th b ~port:90))
 
 let test_state_machine_fig6 () =
   let w = make_world () in
@@ -513,8 +510,8 @@ let test_shutdown_eof () =
       L.connect th fd ~dst:h ~port:92;
       send_all th fd (Bytes.of_string "data");
       L.shutdown th fd `Send;
-      Alcotest.check_raises "send after shutdown" L.Broken_pipe (fun () ->
-          ignore (L.send th fd (Bytes.of_string "x") ~off:0 ~len:1));
+      check_errno "send after shutdown" Unix.EPIPE (fun () ->
+          L.send th fd (Bytes.of_string "x") ~off:0 ~len:1);
       Sds_sim.Proc.sleep_ns 1_000_000);
   Alcotest.(check bool) "server got clean EOF after data" true !server_saw_eof
 
@@ -793,8 +790,7 @@ let test_nonblocking_recv () =
       L.set_nonblocking th fd true;
       let b = Bytes.create 4 in
       (* Nothing sent yet: EAGAIN. *)
-      Alcotest.check_raises "would block" L.Would_block (fun () ->
-          ignore (L.try_recv th fd b ~off:0 ~len:4));
+      check_errno "would block" Unix.EAGAIN (fun () -> L.try_recv th fd b ~off:0 ~len:4);
       send_all th fd (Bytes.of_string "ping");
       Sds_sim.Proc.sleep_ns 10_000;
       let n = L.try_recv th fd b ~off:0 ~len:4 in
@@ -889,6 +885,73 @@ let test_crash_gives_peer_eof () =
   check_bytes "pre-crash data preserved" (Bytes.of_string "final") !peer_last;
   Alcotest.(check int) "peer sees EOF after crash" 0 !peer_result
 
+(* ---- one error surface ---- *)
+
+(* An application holds SocksDirect fds and TCP-fallback kernel fds and
+   handles a dead send with one [Unix.Unix_error (EPIPE, _, _)] handler,
+   whichever kind the fd is: after its own shutdown, after a SocksDirect
+   peer's abort, and after a legacy peer's close. *)
+let test_one_epipe_handler () =
+  let w = make_world () in
+  let h1 = add_host w in
+  let legacy = add_host w in
+  legacy.Sds_transport.Host.sds_capable <- false;
+  let ready = ref 0 and go = ref false and gone = ref 0 in
+  ignore
+    (spawn w "sd-peer" (fun () ->
+         let ctx = L.init h1 in
+         let th = L.create_thread ctx ~core:1 () in
+         let lfd = L.socket th in
+         L.bind th lfd ~port:120;
+         L.listen th lfd;
+         incr ready;
+         ignore (L.accept th lfd);
+         ignore (L.accept th lfd);
+         wait_for go;
+         L.simulate_abort ctx;
+         incr gone));
+  ignore
+    (spawn w "legacy-peer" (fun () ->
+         let kproc = Sds_kernel.Kernel.spawn_process (Sds_kernel.Kernel.for_host legacy) () in
+         let lfd = Sds_kernel.Kernel.socket kproc in
+         Sds_kernel.Kernel.listen kproc lfd ~port:121 ();
+         incr ready;
+         ignore (Sds_kernel.Kernel.accept kproc lfd);
+         let fd = Sds_kernel.Kernel.accept kproc lfd in
+         wait_for go;
+         Sds_kernel.Kernel.close kproc fd;
+         incr gone));
+  run w (fun () ->
+      while !ready < 2 do
+        Sds_sim.Proc.sleep_ns 1_000
+      done;
+      let th = L.create_thread (L.init h1) ~core:0 () in
+      let conn ~dst ~port =
+        let fd = L.socket th in
+        L.connect th fd ~dst ~port;
+        fd
+      in
+      let sd_shut = conn ~dst:h1 ~port:120 and sd_aborted = conn ~dst:h1 ~port:120 in
+      let k_shut = conn ~dst:legacy ~port:121 and k_closed = conn ~dst:legacy ~port:121 in
+      (match (L.lookup th sd_shut, L.lookup th k_shut) with
+      | L.U _, L.K _ -> ()
+      | _ -> Alcotest.fail "expected one SocksDirect and one kernel fallback fd");
+      L.shutdown th sd_shut `Send;
+      L.shutdown th k_shut `Send;
+      go := true;
+      while !gone < 2 do
+        Sds_sim.Proc.sleep_ns 1_000
+      done;
+      let epipe fd =
+        match L.send th fd (Bytes.of_string "x") ~off:0 ~len:1 with
+        | _ -> false
+        | exception Unix.Unix_error (Unix.EPIPE, _, _) -> true
+      in
+      Alcotest.(check bool) "SocksDirect fd after its shutdown" true (epipe sd_shut);
+      Alcotest.(check bool) "SocksDirect fd after the peer's abort" true (epipe sd_aborted);
+      Alcotest.(check bool) "kernel fd after its shutdown" true (epipe k_shut);
+      Alcotest.(check bool) "kernel fd after the peer's close" true (epipe k_closed))
+
 let suite =
   [
     Alcotest.test_case "intra-host ping-pong over SHM" `Quick test_intra_pingpong;
@@ -924,4 +987,5 @@ let suite =
     Alcotest.test_case "zero copy returns pages over RDMA" `Quick
       (zerocopy_page_return ~intra:false);
     Alcotest.test_case "short read holds no page" `Quick test_short_read_holds_no_page;
+    Alcotest.test_case "one EPIPE handler for every fd kind" `Quick test_one_epipe_handler;
   ]

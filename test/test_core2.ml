@@ -118,8 +118,7 @@ let test_send_before_connect () =
       let ctx = L.init h in
       let th = L.create_thread ctx ~core:0 () in
       let fd = L.socket th in
-      Alcotest.check_raises "ENOTCONN" (Invalid_argument "libsd.send: not connected") (fun () ->
-          ignore (L.send th fd (Bytes.of_string "x") ~off:0 ~len:1)))
+      check_errno "ENOTCONN" Unix.ENOTCONN (fun () -> L.send th fd (Bytes.of_string "x") ~off:0 ~len:1))
 
 let test_bad_fd () =
   let w = make_world () in
@@ -127,8 +126,7 @@ let test_bad_fd () =
   run w (fun () ->
       let ctx = L.init h in
       let th = L.create_thread ctx ~core:0 () in
-      Alcotest.check_raises "EBADF" (L.Bad_fd 99) (fun () ->
-          ignore (L.recv th 99 (Bytes.create 1) ~off:0 ~len:1)))
+      check_errno "EBADF" Unix.EBADF (fun () -> L.recv th 99 (Bytes.create 1) ~off:0 ~len:1))
 
 let test_zero_length_send_recv () =
   let w = make_world () in
@@ -338,8 +336,8 @@ let test_fd_namespace_isolation () =
       let fd_a = L.socket th_a in
       let ctx_b = L.init h in
       let th_b = L.create_thread ctx_b ~core:1 () in
-      Alcotest.check_raises "foreign fd is EBADF" (L.Bad_fd fd_a) (fun () ->
-          ignore (L.recv th_b fd_a (Bytes.create 1) ~off:0 ~len:1)))
+      check_errno "foreign fd is EBADF" Unix.EBADF (fun () ->
+          L.recv th_b fd_a (Bytes.create 1) ~off:0 ~len:1))
 
 let test_fork_secret_rejects_impostor () =
   (* A process that did not receive the pairing secret cannot register as

@@ -75,8 +75,8 @@ let soak_before_grant ~seed () =
         (counter "token.seized_dead" > seized0))
 
 (* Crash_mid_publish: the sender dies between the records of one multi-
-   record inline stream send.  The receiver must observe [Peer_dead]
-   (ECONNRESET semantics), not a hang and not a silently truncated
+   record inline stream send.  The receiver must observe ECONNRESET, not
+   a hang and not a silently truncated
    stream treated as EOF. *)
 let soak_mid_publish ~seed () =
   F.arm (F.plan ~seed [ F.Crash_mid_publish ]);
@@ -99,16 +99,16 @@ let soak_mid_publish ~seed () =
          while Rt_sock.recv b ~dom dst ~off:0 ~len:(Bytes.length dst) > 0 do
            ()
          done
-       with Rt_sock.Peer_dead -> saw_reset := true);
+       with Unix.Unix_error (Unix.ECONNRESET, _, _) -> saw_reset := true);
       join_quiet sender;
       Alcotest.(check bool) "the planned crash fired" true (fired_kind F.Crash_mid_publish);
-      Alcotest.(check bool) "receiver unblocked with Peer_dead" true !saw_reset;
+      Alcotest.(check bool) "receiver unblocked with ECONNRESET" true !saw_reset;
       Alcotest.(check bool) "pair is poisoned" true (Rt_sock.poisoned b);
       Rt_sock.release_tokens b ~dom)
 
 (* Crash_holding_pages: the sender dies with staged pool pages that were
    never published.  The death hook must reclaim them (pool occupancy back
-   to baseline) and the receiver must get [Peer_dead]. *)
+   to baseline) and the receiver must get ECONNRESET. *)
 let soak_holding_pages ~seed () =
   let reclaimed0 = counter "pool.reclaimed_pages" in
   F.arm (F.plan ~seed [ F.Crash_holding_pages ]);
@@ -131,10 +131,10 @@ let soak_holding_pages ~seed () =
          while Rt_sock.recv b ~dom dst ~off:0 ~len:(Bytes.length dst) > 0 do
            ()
          done
-       with Rt_sock.Peer_dead -> saw_reset := true);
+       with Unix.Unix_error (Unix.ECONNRESET, _, _) -> saw_reset := true);
       join_quiet sender;
       Alcotest.(check bool) "the planned crash fired" true (fired_kind F.Crash_holding_pages);
-      Alcotest.(check bool) "receiver unblocked with Peer_dead" true !saw_reset;
+      Alcotest.(check bool) "receiver unblocked with ECONNRESET" true !saw_reset;
       Alcotest.(check bool) "dead sender's staged pages were reclaimed" true
         (counter "pool.reclaimed_pages" > reclaimed0);
       Rt_sock.release_tokens b ~dom)
@@ -161,7 +161,7 @@ let soak_monitor_restart ~seed () =
                  ()
                done;
                Atomic.incr served
-             with Rt_sock.Peer_dead -> ());
+             with Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
             Rt_sock.release_tokens s ~dom:d;
             serve ()
         in
@@ -177,9 +177,9 @@ let soak_monitor_restart ~seed () =
         Array.init conns (fun _ ->
             let s = Rt_monitor.connect mon ~dom in
             (* The worker may crash while holding this very connection —
-               the client's send then correctly raises Peer_dead (EPIPE). *)
+               the client's send then correctly raises EPIPE. *)
             (try Rt_sock.send s ~dom (Bytes.make 64 'c') ~off:0 ~len:64
-             with Rt_sock.Peer_dead -> ());
+             with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
             Rt_sock.close s ~dom;
             s)
       in
@@ -227,7 +227,7 @@ let soak_fork_storm ~seed () =
                      ()
                    done;
                    Atomic.incr served
-                 with Rt_sock.Peer_dead -> ());
+                 with Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
                 Rt_sock.release_tokens s ~dom:d;
                 serve ()
             in
@@ -262,7 +262,7 @@ let soak_fork_storm ~seed () =
 
 (* The sender dies holding the staged pages of a 16 KiB descriptor record
    before the receiver's first read.  The survivor, reading through a
-   4 KiB buffer, gets [Peer_dead], and no page stays in use: the dead
+   4 KiB buffer, gets ECONNRESET, and no page stays in use: the dead
    incarnation's pages are reclaimed and the receiver's cursor holds none
    that could not be. *)
 let test_short_read_sender_crash () =
@@ -283,14 +283,14 @@ let test_short_read_sender_crash () =
       Alcotest.(check bool) "the planned crash fired" true (fired_kind F.Crash_holding_pages);
       let dom = Rt_dom.self () in
       let dst = Bytes.create 4096 in
-      Alcotest.check_raises "survivor sees the reset" Rt_sock.Peer_dead (fun () ->
-          ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
+      check_errno "survivor sees the reset" Unix.ECONNRESET (fun () ->
+          Rt_sock.recv b ~dom dst ~off:0 ~len:4096);
       Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ());
       Rt_sock.release_tokens b ~dom)
 
 (* A receiving domain short-reads a 16 KiB descriptor record and dies
    holding the rest of it.  The next domain to receive on that endpoint
-   gets [Peer_dead] (not a double release or a use-after-release of pages
+   gets ECONNRESET (not a double release or a use-after-release of pages
    the reaper reclaimed), and no page stays in use. *)
 let test_short_read_reader_crash () =
   let pages_in_use () =
@@ -317,8 +317,8 @@ let test_short_read_reader_crash () =
   | exception Failure m ->
     Alcotest.(check string) "died after a good short read" "reader dies mid-record" m);
   let dst = Bytes.create 4096 in
-  Alcotest.check_raises "survivor sees the reset" Rt_sock.Peer_dead (fun () ->
-      ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
+  check_errno "survivor sees the reset" Unix.ECONNRESET (fun () ->
+      Rt_sock.recv b ~dom dst ~off:0 ~len:4096);
   Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ());
   Rt_sock.release_tokens a ~dom;
   Rt_sock.release_tokens b ~dom
@@ -677,9 +677,9 @@ let test_sim_abort_reset () =
       wait_for aborted;
       Sds_sim.Proc.sleep_ns 1_000_000;
       (try ignore (L.recv th fd (Bytes.create 8) ~off:0 ~len:8)
-       with L.Connection_reset -> got_reset := true);
+       with Unix.Unix_error (Unix.ECONNRESET, _, _) -> got_reset := true);
       (try ignore (L.send th fd (Bytes.make 4 'x') ~off:0 ~len:4)
-       with L.Broken_pipe -> got_epipe := true);
+       with Unix.Unix_error (Unix.EPIPE, _, _) -> got_epipe := true);
       wait_for rebound);
   Alcotest.(check bool) "recv after abnormal peer death raises ECONNRESET" true !got_reset;
   Alcotest.(check bool) "send after abnormal peer death raises EPIPE" true !got_epipe;

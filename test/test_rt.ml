@@ -11,7 +11,6 @@ module Rt_dom = Sds_rt.Rt_dom
 module Rt_token = Sds_rt.Rt_token
 module Rt_sock = Sds_rt.Rt_sock
 module Rt_monitor = Sds_rt.Rt_monitor
-module Rt_prefork = Sds_rt.Rt_prefork
 module Obs = Sds_obs.Obs
 
 (* ---- shared protocol cores ---- *)
@@ -532,7 +531,7 @@ let test_sock_short_read_desc () =
   Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
 
 (* Poison with a descriptor record half landed: the next recv raises
-   [Peer_dead] and drops the rest of the record; no page stays in use. *)
+   ECONNRESET and drops the rest of the record; no page stays in use. *)
 let test_sock_poison_drops_cursor () =
   let dom = Rt_dom.self () in
   let in_use0 = pages_in_use () in
@@ -542,8 +541,7 @@ let test_sock_poison_drops_cursor () =
   let dst = Bytes.create 4096 in
   Alcotest.(check int) "first quarter" 4096 (Rt_sock.recv b ~dom dst ~off:0 ~len:4096);
   Rt_sock.poison a;
-  Alcotest.check_raises "reset" Rt_sock.Peer_dead (fun () ->
-      ignore (Rt_sock.recv b ~dom dst ~off:0 ~len:4096));
+  Helpers.check_errno "reset" Unix.ECONNRESET (fun () -> Rt_sock.recv b ~dom dst ~off:0 ~len:4096);
   Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
 
 (* A receiver that lags fills the process pool past the policy's high
@@ -569,32 +567,119 @@ let test_sock_backlog_stays_zero_copy () =
   Alcotest.(check int) "then EOF" 0 (Rt_sock.recv b ~dom dst ~off:0 ~len:size);
   Alcotest.(check int) "no page left in use" in_use0 (pages_in_use ())
 
-(* ---- Rt_monitor / Rt_prefork ---- *)
+(* ---- Rt_monitor prefork ---- *)
+
+(* The §4.5.2 prefork shape on Rt_monitor + Rt_sock: [workers] domains in
+   accept loops drain each connection to EOF (echoing it back when
+   [echo]), and [min conns workers] client domains share [conns]
+   connections of [msgs] messages of [payload] bytes — ping-pong when
+   [echo], else 32-message bursts below the copy threshold and plain sends
+   above it. *)
+type prefork = { served : int array; bytes : int array; total_bytes : int }
+
+let total_served s = Array.fold_left ( + ) 0 s.served
+
+let prefork ?(echo = false) ~workers ~conns ~msgs ~payload () =
+  let mon = Rt_monitor.create ~workers () in
+  let bytes = Array.make workers 0 in
+  let serve index () =
+    let w = Rt_monitor.register mon ~index in
+    let dom = Rt_dom.self () in
+    let buf = Bytes.create (max payload Rt_sock.max_inline) in
+    let rec accept () =
+      match Rt_monitor.accept mon ~index with
+      | None -> Rt_monitor.served w
+      | Some sock ->
+        let rec drain () =
+          let n = Rt_sock.recv sock ~dom buf ~off:0 ~len:(Bytes.length buf) in
+          if n > 0 then begin
+            bytes.(index) <- bytes.(index) + n;
+            if echo then Rt_sock.send sock ~dom buf ~off:0 ~len:n;
+            drain ()
+          end
+        in
+        drain ();
+        if echo then Rt_sock.close sock ~dom else Rt_sock.release_tokens sock ~dom;
+        accept ()
+    in
+    accept ()
+  in
+  let connection ~dom buf =
+    let sock = Rt_monitor.connect mon ~dom in
+    if echo then begin
+      let rbuf = Bytes.create (max payload Rt_sock.max_inline) in
+      for _ = 1 to msgs do
+        Rt_sock.send sock ~dom buf ~off:0 ~len:payload;
+        let got = ref 0 in
+        while !got < payload do
+          let n = Rt_sock.recv sock ~dom rbuf ~off:0 ~len:(Bytes.length rbuf) in
+          if n = 0 then failwith "prefork: echo stream ended early";
+          got := !got + n
+        done
+      done;
+      Rt_sock.close sock ~dom;
+      (* Drain the server's FIN so its close completes cleanly. *)
+      while Rt_sock.recv sock ~dom rbuf ~off:0 ~len:(Bytes.length rbuf) > 0 do
+        ()
+      done
+    end
+    else begin
+      if payload < Sds_proto.Copy_policy.base_threshold then begin
+        let entries = Array.make 32 (buf, 0, payload) in
+        let sent = ref 0 in
+        while !sent < msgs do
+          let n = min 32 (msgs - !sent) in
+          Rt_sock.send_burst sock ~dom entries ~n;
+          sent := !sent + n
+        done
+      end
+      else
+        for _ = 1 to msgs do
+          Rt_sock.send sock ~dom buf ~off:0 ~len:payload
+        done;
+      Rt_sock.close sock ~dom
+    end
+  in
+  let clients = min conns workers in
+  (* Client [c] owns connections c, c + clients, ... *)
+  let client c () =
+    let dom = Rt_dom.self () in
+    let buf = Bytes.make payload (Char.chr (65 + c)) in
+    let i = ref c in
+    while !i < conns do
+      connection ~dom buf;
+      i := !i + clients
+    done
+  in
+  let servers = Array.init workers (fun index -> Rt_dom.spawn (serve index)) in
+  while Rt_monitor.registered mon < workers do
+    Domain.cpu_relax ()
+  done;
+  Array.iter Domain.join (Array.init clients (fun c -> Rt_dom.spawn (client c)));
+  Rt_monitor.close_listener mon;
+  let served = Array.map Domain.join servers in
+  { served; bytes; total_bytes = Array.fold_left ( + ) 0 bytes }
 
 let test_prefork_echo () =
   let workers = 2 and conns = 4 and msgs = 50 and payload = 256 in
-  let s = Rt_prefork.run ~workers ~conns ~msgs_per_conn:msgs ~payload ~echo:true () in
-  Alcotest.(check int) "every connection served once" conns (Rt_prefork.total_served s);
-  Alcotest.(check int) "every byte arrived exactly once" (conns * msgs * payload)
-    s.Rt_prefork.total_bytes
+  let s = prefork ~echo:true ~workers ~conns ~msgs ~payload () in
+  Alcotest.(check int) "every connection served once" conns (total_served s);
+  Alcotest.(check int) "every byte arrived exactly once" (conns * msgs * payload) s.total_bytes
 
 let test_prefork_invariants () =
   let workers = 4 and conns = 24 and msgs = 200 and payload = 64 in
-  let s = Rt_prefork.run ~workers ~conns ~msgs_per_conn:msgs ~payload () in
-  Alcotest.(check int) "conns served" conns (Rt_prefork.total_served s);
-  Alcotest.(check int) "bytes exact" (conns * msgs * payload) s.Rt_prefork.total_bytes;
-  Alcotest.(check int) "per-worker served sums" conns (Array.fold_left ( + ) 0 s.Rt_prefork.served);
-  Array.iter
-    (fun b -> Alcotest.(check bool) "no negative byte counts" true (b >= 0))
-    s.Rt_prefork.bytes
+  let s = prefork ~workers ~conns ~msgs ~payload () in
+  Alcotest.(check int) "conns served" conns (total_served s);
+  Alcotest.(check int) "bytes exact" (conns * msgs * payload) s.total_bytes;
+  Alcotest.(check int) "per-worker served sums" conns (Array.fold_left ( + ) 0 s.served);
+  Array.iter (fun b -> Alcotest.(check bool) "no negative byte counts" true (b >= 0)) s.bytes
 
 (* Descriptor-path traffic through the full prefork stack. *)
 let test_prefork_zero_copy () =
   let workers = 2 and conns = 2 and msgs = 40 in
   let payload = Sds_proto.Copy_policy.base_threshold in
-  let s = Rt_prefork.run ~workers ~conns ~msgs_per_conn:msgs ~payload () in
-  Alcotest.(check int) "16KiB payloads all arrive" (conns * msgs * payload)
-    s.Rt_prefork.total_bytes
+  let s = prefork ~workers ~conns ~msgs ~payload () in
+  Alcotest.(check int) "16KiB payloads all arrive" (conns * msgs * payload) s.total_bytes
 
 (* An idle worker must steal from a busy sibling's backlog (§4.5.2): park
    worker 1 without accepting and let worker 0 drain everything. *)
@@ -719,16 +804,14 @@ let test_sim_rt_equivalence () =
   let sim_served = Prefork.served server in
   let rr1 = Obs.Metrics.counter_value "monitor.dispatch.rr" in
   (* -- real-domain backend, identical workload shape -- *)
-  let rt =
-    Rt_prefork.run ~workers ~conns ~msgs_per_conn:1 ~payload ~echo:true ()
-  in
+  let rt = prefork ~echo:true ~workers ~conns ~msgs:1 ~payload () in
   let rr2 = Obs.Metrics.counter_value "monitor.dispatch.rr" in
   (* Identical §4.5.2 invariants on both backends. *)
   Alcotest.(check int) "sim served every connection" conns
     (Array.fold_left ( + ) 0 sim_served);
-  Alcotest.(check int) "rt served every connection" conns (Rt_prefork.total_served rt);
+  Alcotest.(check int) "rt served every connection" conns (total_served rt);
   Alcotest.(check int) "sim echoed every byte" (conns * payload) !sim_client_bytes;
-  Alcotest.(check int) "rt received every byte" (conns * payload) rt.Rt_prefork.total_bytes;
+  Alcotest.(check int) "rt received every byte" (conns * payload) rt.total_bytes;
   (* Both backends drove the SAME shared dispatch policy: the one
      monitor.dispatch.rr series advanced by exactly [conns] each time. *)
   Alcotest.(check int) "sim dispatched through Dispatch_core" conns (rr1 - rr0);
@@ -1118,6 +1201,82 @@ let test_flight_conn_token_holders () =
   Rt_sock.release_tokens a ~dom;
   ignore (Sys.opaque_identity b)
 
+(* ---- differential: one errno surface ----
+
+   The same three failures on the simulator's [Libsd] and on [Rt_sock],
+   matched on the errno alone: a send after this end's own shutdown, then
+   a recv and a send on the survivor of a peer that crashed before EOF. *)
+
+let errno_cases =
+  [ ("send after own shutdown", Unix.EPIPE); ("recv after the peer's crash", Unix.ECONNRESET);
+    ("send after the peer's crash", Unix.EPIPE) ]
+
+let errnos_rt () =
+  let dom = Rt_dom.self () in
+  let buf = Bytes.make 8 'e' in
+  let a, b = Rt_sock.pair ~a_owner:dom ~b_owner:dom () in
+  Rt_sock.close a ~dom;
+  let shut = Helpers.errno_of (fun () -> Rt_sock.send a ~dom buf ~off:0 ~len:8) in
+  Rt_sock.release_tokens a ~dom;
+  Rt_sock.release_tokens b ~dom;
+  let a, b = Rt_sock.pair ~a_owner:(-1) ~b_owner:dom () in
+  let peer =
+    Rt_dom.spawn (fun () ->
+        Rt_sock.claim a ~dom:(Rt_dom.self ());
+        failwith "the peer crashes")
+  in
+  (match Domain.join peer with
+  | () -> Alcotest.fail "the peer should have died"
+  | exception Failure _ -> ());
+  let reset = Helpers.errno_of (fun () -> Rt_sock.recv b ~dom buf ~off:0 ~len:8) in
+  let pipe = Helpers.errno_of (fun () -> Rt_sock.send b ~dom buf ~off:0 ~len:8) in
+  Rt_sock.release_tokens b ~dom;
+  [ shut; reset; pipe ]
+
+let errnos_sim () =
+  let module L = Socksdirect.Libsd in
+  let w = Helpers.make_world () in
+  let h = Helpers.add_host w in
+  let ready = ref false and connected = ref false and crashed = ref false in
+  let errnos = ref [] in
+  ignore
+    (Helpers.spawn w "errno-peer" (fun () ->
+         let ctx = L.init h in
+         let th = L.create_thread ctx ~core:1 () in
+         let lfd = L.socket th in
+         L.bind th lfd ~port:9401;
+         L.listen th lfd;
+         ready := true;
+         ignore (L.accept th lfd);
+         ignore (L.accept th lfd);
+         Helpers.wait_for connected;
+         L.simulate_abort ctx;
+         crashed := true));
+  Helpers.run w (fun () ->
+      Helpers.wait_for ready;
+      let th = L.create_thread (L.init h) ~core:0 () in
+      let buf = Bytes.make 8 'e' in
+      let fd = L.socket th in
+      L.connect th fd ~dst:h ~port:9401;
+      L.shutdown th fd `Send;
+      let shut = Helpers.errno_of (fun () -> L.send th fd buf ~off:0 ~len:8) in
+      let fd = L.socket th in
+      L.connect th fd ~dst:h ~port:9401;
+      connected := true;
+      Helpers.wait_for crashed;
+      let reset = Helpers.errno_of (fun () -> L.recv th fd buf ~off:0 ~len:8) in
+      let pipe = Helpers.errno_of (fun () -> L.send th fd buf ~off:0 ~len:8) in
+      errnos := [ shut; reset; pipe ]);
+  !errnos
+
+let test_differential_errno () =
+  let sim = errnos_sim () and rt = errnos_rt () in
+  List.iter2
+    (fun (case, expected) (sim, rt) ->
+      Alcotest.(check (option Helpers.errno)) ("sim: " ^ case) (Some expected) sim;
+      Alcotest.(check (option Helpers.errno)) ("rt: " ^ case) (Some expected) rt)
+    errno_cases (List.combine sim rt)
+
 let suite =
   [
     Alcotest.test_case "proto: token transitions" `Quick test_token_proto;
@@ -1175,4 +1334,6 @@ let suite =
       test_old_operator_spares_next_conn;
     Alcotest.test_case "flight: rt_conn shows each endpoint's token holders" `Quick
       test_flight_conn_token_holders;
+    Alcotest.test_case "differential: sim and rt raise the same errno" `Quick
+      test_differential_errno;
   ]
